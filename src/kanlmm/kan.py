@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .bspline import BSplineBasis, eval_basis, eval_local, greville_abscissae, make_basis
+from scipy import sparse
+
+from .bspline import BSplineBasis, eval_local, greville_abscissae, make_basis
 
 Array = npt.NDArray[np.float64]
 
@@ -155,8 +157,7 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     interior = rng.uniform(lo, hi, size=(CALIBRATION_SAMPLES, d_in))
     probe = np.vstack([corners, interior])
     xhat = np.clip((probe - lo) / (hi - lo), 0.0, 1.0)
-    basis_vals = eval_basis(inner_basis, xhat.ravel()).reshape(*xhat.shape, inner_basis.size)
-    z = np.einsum("biq,jiq->bj", basis_vals, inner)
+    z = _basis_matrix(inner_basis, xhat)[0] @ inner.reshape(hidden, -1).T
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo
     if span < 1e-12:
@@ -174,12 +175,32 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     )
 
 
+def _basis_matrix(basis: BSplineBasis, points: Array) -> tuple[sparse.csr_array, Array]:
+    """Basis of one layer at n samples of d clamped inputs, as a sparse matrix.
+
+    Returns the CSR matrix (n, d * size) whose row b holds the k+1 nonzero
+    basis values of every input of sample b, input i's in columns
+    i * size + span - k .. i * size + span; the blocks follow the inputs,
+    so the column indices of a row ascend without a sort.  Multiplied by
+    the layer's coefficients reshaped (outputs, d * size) and transposed,
+    it gives the layer's sums.  Also returns the matching derivatives
+    (n, d, k+1).
+    """
+    n, d = points.shape
+    k, size = basis.degree, basis.size
+    span, vals, derivs = eval_local(basis, points.ravel())
+    cols = (span.reshape(n, d) - k + size * np.arange(d))[:, :, None] + np.arange(k + 1)
+    rows = np.arange(n + 1) * (d * (k + 1))
+    matrix = sparse.csr_array((vals.ravel(), cols.ravel(), rows), shape=(n, d * size))
+    return matrix, derivs.reshape(n, d, k + 1)
+
+
 class BatchEvaluator:
     """Forward/backward passes over a fixed sample batch.
 
-    The inner basis matrices depend only on the samples, so they are
-    computed once and reused across every training iteration; only the
-    hidden-layer basis must be re-evaluated when coefficients move.
+    The inner basis matrix depends only on the samples, so it is built
+    once and reused across every training iteration; only the outer basis
+    matrix must be rebuilt when coefficients move.
     """
 
     def __init__(self, net: KanNetwork, x: Array):
@@ -190,59 +211,71 @@ class BatchEvaluator:
             raise ValueError("batch contains non-finite samples")
         self.net = net
         xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
-        self.inner_vals = eval_basis(net.inner_basis, xhat.ravel()).reshape(
-            x.shape[0], net.d_in, net.inner_basis.size
-        )
+        self._inner, _ = _basis_matrix(net.inner_basis, xhat)
         self.hidden_slope = 1.0 / (net.hidden_hi - net.hidden_lo)
-        self._outer_cols = None
-        self._outer_vals = None
+        self._outer = None
         self._outer_derivs = None
         self._inside = None
 
-    def forward(self, inner_coeffs: Array, outer_coeffs: Array) -> Array:
-        net = self.net
-        z = np.einsum("biq,jiq->bj", self.inner_vals, inner_coeffs)
-        zraw = (z - net.hidden_lo) * self.hidden_slope
-        zhat = np.clip(zraw, 0.0, 1.0)
-        self._inside = (zraw > 0.0) & (zraw < 1.0)
-        span, vals, derivs = eval_local(net.outer_basis, zhat.ravel())
-        # flat index of each nonzero outer function in a (hidden * size) row
-        k, size = net.degree, net.outer_basis.size
-        first = span.reshape(zhat.shape) - k + size * np.arange(net.hidden)
-        self._outer_cols = first[:, :, None] + np.arange(k + 1)
-        self._outer_vals = vals.reshape(self._outer_cols.shape)
-        self._outer_derivs = derivs.reshape(self._outer_cols.shape)
-        picked = self._gather(outer_coeffs)
-        return np.einsum("bjr,mbjr->bm", self._outer_vals, picked)
+    def hidden_sums(self, inner_coeffs: Array) -> Array:
+        """Hidden sums z (n, hidden) of the batch under ``inner_coeffs``."""
+        return self._inner @ inner_coeffs.reshape(inner_coeffs.shape[0], -1).T
 
-    def _gather(self, outer_coeffs: Array) -> Array:
-        """Outer coefficients at the nonzero functions, shape (d_out, n, hidden, k+1)."""
-        return outer_coeffs.reshape(outer_coeffs.shape[0], -1)[:, self._outer_cols]
+    def forward(self, inner_coeffs: Array, outer_coeffs: Array) -> Array:
+        zraw = (self.hidden_sums(inner_coeffs) - self.net.hidden_lo) * self.hidden_slope
+        self._inside = (zraw > 0.0) & (zraw < 1.0)
+        self._outer, self._outer_derivs = _basis_matrix(self.net.outer_basis,
+                                                        np.clip(zraw, 0.0, 1.0))
+        return self._outer @ outer_coeffs.reshape(outer_coeffs.shape[0], -1).T
 
     def backward(self, outer_coeffs: Array, upstream: Array) -> tuple[Array, Array]:
         """Gradients of sum_b <upstream_b, forward_b> from the last forward pass."""
-        if self._outer_vals is None:
+        if self._outer is None:
             raise RuntimeError("backward requires a preceding forward pass")
-        d_out = outer_coeffs.shape[0]
-        cols = self._outer_cols + outer_coeffs[0].size * np.arange(d_out)[:, None, None, None]
-        weights = upstream.T[:, :, None, None] * self._outer_vals
-        grad_outer = np.bincount(cols.ravel(), weights.ravel(),
-                                 minlength=outer_coeffs.size).reshape(outer_coeffs.shape)
-        picked = self._gather(outer_coeffs)
-        dz = np.einsum("bm,mbjr,bjr->bj", upstream, picked, self._outer_derivs)
+        grad_outer = (self._outer.T @ upstream).T.reshape(outer_coeffs.shape)
+        flat = outer_coeffs.reshape(outer_coeffs.shape[0], -1)
+        # outer coefficients at the nonzero functions, (n, hidden * (k+1), d_out):
+        # the basis matrix's column indices are their flat positions
+        picked = flat.T.take(self._outer.indices, axis=0).reshape(upstream.shape[0], -1,
+                                                                   flat.shape[0])
+        slopes = (picked @ upstream[:, :, None]).reshape(self._outer_derivs.shape)
+        dz = np.einsum("bjr,bjr->bj", slopes, self._outer_derivs)
         dz *= self.hidden_slope
         dz *= self._inside
-        grad_inner = np.einsum("bj,biq->jiq", dz, self.inner_vals)
+        grad_inner = (self._inner.T @ dz).T.reshape(self.net.inner_coeffs.shape)
         return grad_inner, grad_outer
 
 
 def forward(net: KanNetwork, x) -> Array:
-    """Evaluate the network at one point (d_in,) or a batch (n, d_in)."""
+    """Evaluate the network at one point (d_in,) or a batch (n, d_in).
+
+    A single point takes its own path: it gathers the k+1 coefficients per
+    edge at each layer's spans and builds no basis matrix.  It adds the
+    terms of each sum in a basis-matrix row's order (numpy sums an axis
+    that is not the fastest in memory term by term), so where both layers
+    have more than one output it returns the batch row bit for bit; a
+    layer with one output is summed pairwise, equal up to rounding.
+    """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    out = BatchEvaluator(net, batch).forward(net.inner_coeffs, net.outer_coeffs)
-    return out[0] if single else out
+    if x.ndim != 1:
+        return BatchEvaluator(net, x).forward(net.inner_coeffs, net.outer_coeffs)
+    if x.shape != (net.d_in,):
+        raise ValueError(f"point must be ({net.d_in},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point is not finite")
+    xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
+    z = _point_layer(net.inner_basis, net.inner_coeffs, xhat)
+    zraw = (z - net.hidden_lo) * (1.0 / (net.hidden_hi - net.hidden_lo))
+    return _point_layer(net.outer_basis, net.outer_coeffs, np.clip(zraw, 0.0, 1.0))
+
+
+def _point_layer(basis: BSplineBasis, coeffs: Array, points: Array) -> Array:
+    """Sums of one layer (coefficients (outputs, d, size)) at one clamped input (d,)."""
+    k = basis.degree
+    span, vals, _ = eval_local(basis, points)
+    cols = span[:, None] - k + np.arange(k + 1)
+    terms = coeffs.transpose(1, 2, 0)[np.arange(points.shape[0])[:, None], cols] * vals[:, :, None]
+    return terms.reshape(-1, coeffs.shape[0]).sum(axis=0)
 
 
 def gradient(net: KanNetwork, x, upstream) -> Array:

@@ -155,10 +155,6 @@ def load_trajectory(path, provenance: str = "loaded") -> Trajectory:
         return _read_csv(fh, provenance)
 
 
-def trajectory_from_csv(text: str, provenance: str = "loaded") -> Trajectory:
-    return _read_csv(io.StringIO(text), provenance)
-
-
 def _read_csv(fh, provenance: str) -> Trajectory:
     reader = csv.reader(fh)
     try:

@@ -1,15 +1,16 @@
 """Spline-network tests.
 
 Forward evaluation is checked against a naive per-sample, per-edge loop,
-gradients against central finite differences, and the JSON model format
-against exact round trips and a catalogue of malformed documents.
+gradients against central finite differences, the sparse batch passes
+against dense basis tables, and the JSON model format against exact
+round trips and a catalogue of malformed documents.
 """
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from kanlmm import kan
-from kanlmm.bspline import eval_basis
+from kanlmm.bspline import eval_basis, eval_basis_derivative
 
 
 def naive_forward(net: kan.KanNetwork, x: np.ndarray) -> np.ndarray:
@@ -54,6 +55,25 @@ def test_forward_matches_naive_loop(d_in, d_out, hidden, degree, intervals):
     got = kan.forward(net, x)
     expected = np.array([naive_forward(net, xi) for xi in x])
     npt.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_in,d_out,hidden,degree", [
+    (2, 2, 5, 3),
+    (3, 2, 7, 1),
+    (1, 3, 3, 2),
+    (4, 4, 9, 3),
+    (2, 1, 5, 3),
+])
+def test_single_point_forward_equals_batch_row(d_in, d_out, hidden, degree):
+    rng = np.random.default_rng(d_in * 100 + d_out * 10 + hidden)
+    net = random_net(rng, d_in, d_out, hidden, degree, 8)
+    x = rng.uniform(-4.0, 4.0, size=(16, d_in))
+    batch = kan.forward(net, x)
+    for xi, row in zip(x, batch):
+        if d_out > 1:  # summed in the batch row's order
+            npt.assert_array_equal(kan.forward(net, xi), row)
+        else:  # a single output is summed pairwise
+            npt.assert_allclose(kan.forward(net, xi), row, rtol=1e-14, atol=1e-15)
 
 
 def test_single_point_forward_shape():
@@ -177,8 +197,7 @@ class TestInit:
         net = kan.init_network(2, 2, hidden=4, seed=13)
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(256, 2))
-        ev = kan.BatchEvaluator(net, x)
-        z = np.einsum("biq,jiq->bj", ev.inner_vals, net.inner_coeffs)
+        z = kan.BatchEvaluator(net, x).hidden_sums(net.inner_coeffs)
         frac_inside = np.mean((z >= net.hidden_lo) & (z <= net.hidden_hi))
         assert frac_inside > 0.99
 
@@ -276,6 +295,47 @@ class TestSerialization:
         doc["inner_coeffs"] = "zero"
         with pytest.raises(kan.ModelFormatError):
             kan.deserialize(json.dumps(doc))
+
+
+def dense_reference(net: kan.KanNetwork, x: np.ndarray, upstream: np.ndarray):
+    """Forward values and both gradients from dense basis tables and einsum."""
+    xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
+    inner_vals = eval_basis(net.inner_basis, xhat.ravel()).reshape(*x.shape, -1)
+    z = np.einsum("biq,jiq->bj", inner_vals, net.inner_coeffs)
+    zraw = ((z - net.hidden_lo) / (net.hidden_hi - net.hidden_lo)).ravel()
+    # eval_basis clamps, and eval_basis_derivative is zero outside [0, 1]
+    outer_vals = eval_basis(net.outer_basis, zraw).reshape(*z.shape, -1)
+    outer_derivs = eval_basis_derivative(net.outer_basis, zraw).reshape(*z.shape, -1)
+    u = np.einsum("bjq,mjq->bm", outer_vals, net.outer_coeffs)
+    grad_outer = np.einsum("bm,bjq->mjq", upstream, outer_vals)
+    dz = np.einsum("bm,mjq,bjq->bj", upstream, net.outer_coeffs, outer_derivs)
+    grad_inner = np.einsum("bj,biq->jiq", dz / (net.hidden_hi - net.hidden_lo), inner_vals)
+    return zraw, u, grad_inner, grad_outer
+
+
+def assert_close_relative(got, expected):
+    npt.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_passes_match_dense_reference(degree, seed):
+    rng = np.random.default_rng(seed)
+    net = kan.init_network(3, 2, hidden=5, degree=degree, intervals=8, seed=seed)
+    net.inner_coeffs = rng.uniform(-1.0, 1.0, net.inner_coeffs.shape)
+    net.outer_coeffs = rng.uniform(-1.0, 1.0, net.outer_coeffs.shape)
+    # a narrow hidden range and inputs beyond [0, 1] clamp both layers
+    net.hidden_lo, net.hidden_hi = -0.5, 0.5
+    x = rng.uniform(-0.5, 1.5, size=(200, 3))
+    upstream = rng.standard_normal((200, 2))
+    zraw, u, grad_inner, grad_outer = dense_reference(net, x, upstream)
+    assert np.any(zraw < 0.0) and np.any(zraw > 1.0) and np.any((zraw > 0.0) & (zraw < 1.0))
+
+    ev = kan.BatchEvaluator(net, x)
+    assert_close_relative(ev.forward(net.inner_coeffs, net.outer_coeffs), u)
+    got_inner, got_outer = ev.backward(net.outer_coeffs, upstream)
+    assert_close_relative(got_inner, grad_inner)
+    assert_close_relative(got_outer, grad_outer)
 
 
 class TestBatchEvaluator:

@@ -207,8 +207,8 @@ class TestTrain:
         start = kan.init_network(
             2, 2, hidden=3, degree=3, intervals=16,
             input_range=training.input_range_from_states(traj.states), seed=1)
-        inner_vals = kan.BatchEvaluator(start, traj.states).inner_vals
-        moved = np.einsum("biq,jiq->bj", inner_vals, net.inner_coeffs - start.inner_coeffs)
+        ev = kan.BatchEvaluator(start, traj.states)
+        moved = ev.hidden_sums(net.inner_coeffs - start.inner_coeffs)
         interval = (start.hidden_hi - start.hidden_lo) / cfg.intervals
         assert np.max(np.abs(moved)) > 0.1 * cfg.learning_rate * interval
         assert np.max(np.abs(moved)) <= cfg.learning_rate * interval * (1 + 1e-12)
