@@ -91,28 +91,29 @@ def eval_local(basis: BSplineBasis, x: Array) -> tuple[Array, Array, Array]:
     k, t = basis.degree, basis.knots
     span = np.clip(np.searchsorted(t, x, side="right") - 1, k, k + basis.intervals - 1)
     n = x.shape[0]
-    # Rows, not columns, index the functions, so every step below works on
-    # contiguous rows: left[j-1] = x - t[span+1-j], right[j-1] = t[span+j] - x.
-    steps = np.arange(1, k + 1)[:, None]
-    left = x - t[span + 1 - steps]
-    right = t[span + steps] - x
-    vals = np.zeros((k + 1, n))
-    vals[0] = 1.0
+    # left[:, j] = x - t[span+1-j], right[:, j] = t[span+j] - x
+    left = np.zeros((n, k + 1))
+    right = np.zeros((n, k + 1))
+    vals = np.zeros((n, k + 1))
+    vals[:, 0] = 1.0
     for j in range(1, k + 1):
         if j == k:
-            lower = vals[:k].copy()  # degree k-1 values of functions span-k+1 .. span
-        # each of the j functions of degree j-1 splits into two of degree j
-        below, above = right[:j], left[j - 1 :: -1]
-        temp = vals[:j] / (below + above)
-        vals[:j] = below * temp
-        vals[1 : j + 1] += above * temp
+            lower = vals[:, :k].copy()  # degree k-1 values of functions span-k+1 .. span
+        left[:, j] = x - t[span + 1 - j]
+        right[:, j] = t[span + j] - x
+        saved = np.zeros(n)
+        for r in range(j):
+            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
+            vals[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        vals[:, j] = saved
     # N'_{i,k} = k (N_{i,k-1} / (t_{i+k} - t_i) - N_{i+1,k-1} / (t_{i+k+1} - t_{i+1}))
-    first = span - k + steps
+    first = span[:, None] - k + np.arange(1, k + 1)
     scaled = k * lower / (t[first + k] - t[first])
-    derivs = np.zeros((k + 1, n))
-    derivs[1:] += scaled
-    derivs[:k] -= scaled
-    return span, vals.T, derivs.T
+    derivs = np.zeros((n, k + 1))
+    derivs[:, 1:] += scaled
+    derivs[:, :k] -= scaled
+    return span, vals, derivs
 
 
 def _scatter(basis: BSplineBasis, span: Array, local: Array) -> Array:

@@ -247,35 +247,12 @@ class BatchEvaluator:
 
 
 def forward(net: KanNetwork, x) -> Array:
-    """Evaluate the network at one point (d_in,) or a batch (n, d_in).
-
-    A single point takes its own path: it gathers the k+1 coefficients per
-    edge at each layer's spans and builds no basis matrix.  It adds the
-    terms of each sum in a basis-matrix row's order (numpy sums an axis
-    that is not the fastest in memory term by term), so where both layers
-    have more than one output it returns the batch row bit for bit; a
-    layer with one output is summed pairwise, equal up to rounding.
-    """
+    """Evaluate the network at one point (d_in,) or a batch (n, d_in)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        return BatchEvaluator(net, x).forward(net.inner_coeffs, net.outer_coeffs)
-    if x.shape != (net.d_in,):
-        raise ValueError(f"point must be ({net.d_in},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point is not finite")
-    xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
-    z = _point_layer(net.inner_basis, net.inner_coeffs, xhat)
-    zraw = (z - net.hidden_lo) * (1.0 / (net.hidden_hi - net.hidden_lo))
-    return _point_layer(net.outer_basis, net.outer_coeffs, np.clip(zraw, 0.0, 1.0))
-
-
-def _point_layer(basis: BSplineBasis, coeffs: Array, points: Array) -> Array:
-    """Sums of one layer (coefficients (outputs, d, size)) at one clamped input (d,)."""
-    k = basis.degree
-    span, vals, _ = eval_local(basis, points)
-    cols = span[:, None] - k + np.arange(k + 1)
-    terms = coeffs.transpose(1, 2, 0)[np.arange(points.shape[0])[:, None], cols] * vals[:, :, None]
-    return terms.reshape(-1, coeffs.shape[0]).sum(axis=0)
+    single = x.ndim == 1
+    batch = x[None, :] if single else x
+    out = BatchEvaluator(net, batch).forward(net.inner_coeffs, net.outer_coeffs)
+    return out[0] if single else out
 
 
 def gradient(net: KanNetwork, x, upstream) -> Array:
