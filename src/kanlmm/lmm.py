@@ -276,7 +276,7 @@ class RootConditionReport:
     max_modulus: float
 
 
-def root_condition(sch: LmmScheme, window: IndexWindow | None = None) -> RootConditionReport:
+def root_condition(sch: LmmScheme) -> RootConditionReport:
     """Check the root condition for the grid-value recursion.
 
     The forward substitution that recovers grid values amplifies
@@ -284,11 +284,8 @@ def root_condition(sch: LmmScheme, window: IndexWindow | None = None) -> RootCon
     p(z) = sum_{i=m_min}^{m_max} beta_i z^(m_max - i); the recursion is
     stable when all roots lie strictly inside the unit circle.  A scheme
     with a single nonzero beta gives a constant polynomial and the
-    condition holds vacuously.  ``window`` is accepted for signature
-    symmetry with the assembly routines; the verdict depends only on the
-    scheme.
+    condition holds vacuously.
     """
-    del window
     m_min, m_max = sch.beta_support
     coeffs = sch.beta[m_min : m_max + 1]
     if coeffs.size == 1:

@@ -169,6 +169,8 @@ def _read_csv(fh, provenance: str) -> Trajectory:
     data = np.asarray(rows, dtype=np.float64)
     if data.shape[1] != len(header):
         raise ValueError("trajectory rows do not match the header width")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("trajectory CSV contains non-finite values")
     times, states = data[:, 0], data[:, 1:]
     n1 = len(times) - 1
     h = (times[-1] - times[0]) / n1

@@ -119,30 +119,17 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
     )
 
 
-def opinion_interaction(x: Array) -> Array:
-    """Row-normalized adjacency a_ij of the bounded-confidence graph.
-
-    phi_ij = 1 when |x_j - x_i| <= 1 (so phi_ii = 1 always) and the row
-    normalizer sums over all k including i.  A row that somehow sums to
-    zero is left as zeros: an agent with no interactions does not move.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    phi = (np.abs(x[None, :] - x[:, None]) <= 1.0).astype(np.float64)
-    row = phi.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(row > 0.0, phi / row, 0.0)
-    return a
-
-
 def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
                    init_range: tuple[float, float] = (0.0, 10.0),
                    t_train: tuple[float, float] = (0.0, 10.0)) -> SystemDef:
     """Bounded-confidence opinion model with ``dim`` scalar agents.
 
-    dx_i/dt = alpha * sum_{j != i} a_ij (x_j - x_i) with the interaction
-    weights from opinion_interaction.  Initial opinions are drawn
-    uniformly from ``init_range`` with a seeded generator so every run
-    of a given (dim, seed) pair sees identical data.
+    dx_i/dt = alpha * sum_{j != i} a_ij (x_j - x_i) with the row-normalized
+    bounded-confidence weights a_ij = phi_ij / sum_k phi_ik, where
+    phi_ij = 1 when |x_j - x_i| <= 1.  The normalizer sums over all k
+    including i, so it is at least 1 for a finite state.  Initial opinions
+    are drawn uniformly from ``init_range`` with a seeded generator so
+    every run of a given (dim, seed) pair sees identical data.
     """
     if dim < 2:
         raise ValueError(f"opinion model needs at least 2 agents, got {dim}")
@@ -152,11 +139,14 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
     x0 = rng.uniform(init_range[0], init_range[1], size=dim)
 
     def field(x: Array) -> Array:
-        a = opinion_interaction(x)
-        np.fill_diagonal(a, 0.0)
-        # summed in pair-difference form so equal opinions give an exact
-        # zero field (a @ x - rowsum * x rounds differently per term)
-        return alpha * (a * (x[None, :] - x[:, None])).sum(axis=1)
+        # Summed in pair-difference form so equal opinions give an exact
+        # zero field (a @ x - rowsum * x rounds differently per term).  The
+        # diagonal needs no masking: d_ii = 0 contributes +0.0 to its row.
+        x = np.asarray(x, dtype=np.float64)
+        d = x - x[:, None]
+        near = np.abs(d) <= 1.0
+        d *= near / near.sum(axis=1, keepdims=True)
+        return alpha * d.sum(axis=1)
 
     return SystemDef(
         name="opinion",

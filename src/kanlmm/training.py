@@ -31,6 +31,9 @@ Array = npt.NDArray[np.float64]
 LOSS_KINDS = ("jh", "jah")
 INPUT_MARGIN = 0.05
 DIVERGENCE_LIMIT = 1e12
+# Adam updates parameters in blocks of this many entries, so that the six
+# arrays one block touches (1.5 MB) stay in a core's cache between passes.
+ADAM_BLOCK = 1 << 15
 
 
 class TrainingDivergedError(RuntimeError):
@@ -182,6 +185,27 @@ def input_range_from_states(states: Array, margin: float = INPUT_MARGIN) -> Arra
     return np.column_stack([lo - pad, hi + pad])
 
 
+def _adam_block(p: Array, m: Array, v: Array, g: Array, step: float, c1: float, c2: float,
+                config: TrainConfig, num: Array, den: Array) -> None:
+    """One bias-corrected Adam update of ``p``, ``m`` and ``v`` in place.
+
+    ``num`` and ``den`` are scratch.  The operations round exactly as
+    m = (b1*m) + ((1-b1)*g), v = (b2*v) + (((1-b2)*g)*g) and
+    p = p - (step*(m/c1)) / (sqrt(v/c2) + eps) do.
+    """
+    m *= config.beta1
+    m += np.multiply(1.0 - config.beta1, g, out=num)
+    v *= config.beta2
+    np.multiply(1.0 - config.beta2, g, out=num)
+    v += np.multiply(num, g, out=num)
+    np.divide(m, c1, out=num)
+    num *= step
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    den += config.epsilon
+    p -= np.divide(num, den, out=num)
+
+
 def train(config: TrainConfig, traj: Trajectory,
           true_field=None) -> tuple[KanNetwork, TrainReport]:
     """Fit a network to one trajectory by Adam on the selected residual loss.
@@ -223,18 +247,24 @@ def train(config: TrainConfig, traj: Trajectory,
         u = evaluator.forward(inner, outer)
         return stencil.loss_and_grad(u)[0], u
 
-    step = np.full(params.shape, config.learning_rate)
-    step[:n_inner] *= (net.hidden_hi - net.hidden_lo) / (net.outer_basis.intervals * net.d_in)
+    lr = config.learning_rate
+    lr_inner = lr * ((net.hidden_hi - net.hidden_lo) / (net.outer_basis.intervals * net.d_in))
+    blocks = [(slice(lo, min(lo + ADAM_BLOCK, end)), step)
+              for start, end, step in ((0, n_inner, lr_inner), (n_inner, params.size, lr))
+              for lo in range(start, end, ADAM_BLOCK)]
 
+    inner, outer = split(params)  # views: params is updated in place
     m_state = np.zeros_like(params)
     v_state = np.zeros_like(params)
+    grad = np.empty_like(params)
+    grad_inner, grad_outer = split(grad)
+    scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
     trace = np.zeros(config.iterations)
     best_loss = np.inf
     best_params = params.copy()
     best_iteration = 0
 
     for it in range(config.iterations):
-        inner, outer = split(params)
         u = evaluator.forward(inner, outer)
         loss, grad_u = stencil.loss_and_grad(u)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
@@ -242,23 +272,22 @@ def train(config: TrainConfig, traj: Trajectory,
         trace[it] = loss
         if loss < best_loss:
             best_loss = loss
-            best_params = params.copy()
+            np.copyto(best_params, params)
             best_iteration = it
-        g_inner, g_outer = evaluator.backward(outer, grad_u)
-        grad = np.concatenate([g_inner.ravel(), g_outer.ravel()])
+        grad_inner[...], grad_outer[...] = evaluator.backward(outer, grad_u)
         t = it + 1
-        m_state = config.beta1 * m_state + (1.0 - config.beta1) * grad
-        v_state = config.beta2 * v_state + (1.0 - config.beta2) * grad * grad
-        m_hat = m_state / (1.0 - config.beta1 ** t)
-        v_hat = v_state / (1.0 - config.beta2 ** t)
-        params = params - step * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
+        for sl, step in blocks:
+            n = sl.stop - sl.start
+            _adam_block(params[sl], m_state[sl], v_state[sl], grad[sl], step, c1, c2,
+                        config, scratch[0, :n], scratch[1, :n])
 
     final_loss, _ = evaluate(params)
     if not np.isfinite(final_loss) or final_loss > DIVERGENCE_LIMIT:
         raise TrainingDivergedError(config.iterations, final_loss)
     if final_loss < best_loss:
         best_loss = final_loss
-        best_params = params.copy()
+        np.copyto(best_params, params)
         best_iteration = config.iterations
 
     kan.set_params(net, best_params)

@@ -198,6 +198,22 @@ class TestBounds:
         assert run_cli("bounds", "--d", "2", "--alpha", "0") == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["train", "solve-grid"])
+def test_nan_in_data_is_usage_error(traj_csv, tmp_path, capsys, command):
+    rows = traj_csv.read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[1] = "nan"
+    rows[3] = ",".join(cells)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    extra = TRAIN_QUICK if command == "train" else []
+    out = tmp_path / "out"
+    rc = run_cli(command, "--data", str(bad), *extra, "--out", str(out))
+    assert rc == cli.EXIT_USAGE
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_experiment_name_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("experiment", "nope", "--out-dir", str(tmp_path))

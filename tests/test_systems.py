@@ -86,11 +86,42 @@ class TestGlycolyticSystem:
         assert np.min(traj.states) > 0.0
 
 
+def adjacency_field(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The opinion field through an explicit row-normalized adjacency."""
+    phi = (np.abs(x[None, :] - x[:, None]) <= 1.0).astype(np.float64)
+    row = phi.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(row > 0.0, phi / row, 0.0)
+    np.fill_diagonal(a, 0.0)
+    return alpha * (a * (x[None, :] - x[:, None])).sum(axis=1)
+
+
 class TestOpinionSystem:
     def test_interaction_rows_normalized(self):
-        a = systems.opinion_interaction(np.array([0.0, 0.5, 3.0]))
-        npt.assert_allclose(a, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        npt.assert_allclose(a.sum(axis=1), 1.0)
+        # weights [[.5, .5, 0], [.5, .5, 0], [0, 0, 1]]: the first two agents
+        # meet halfway, the third sees only itself
+        sysd = systems.opinion_system(dim=3)
+        npt.assert_array_equal(sysd.field(np.array([0.0, 0.5, 3.0])), [0.25, -0.25, 0.0])
+
+    @pytest.mark.parametrize("dim", [2, 8, 50])
+    @pytest.mark.parametrize("alpha", [1.0, 0.7])
+    def test_field_bits_match_adjacency_form(self, dim, alpha):
+        sysd = systems.opinion_system(dim=dim, alpha=alpha)
+        rng = np.random.default_rng(dim)
+        states = ([rng.uniform(0.0, 10.0, dim) for _ in range(50)]
+                  + [rng.uniform(0.0, 2.0, dim) for _ in range(50)]
+                  + [np.full(dim, 4.2), np.full(dim, -1.5)])
+        for x in states:
+            got, want = sysd.field(x), adjacency_field(x, alpha)
+            npt.assert_array_equal(got, want)
+            npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_non_finite_state_gives_non_finite_field(self):
+        sysd = systems.opinion_system(dim=4)
+        for bad in (np.nan, np.inf):
+            x = np.array([0.0, 0.5, bad, 3.0])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                assert not np.all(np.isfinite(sysd.field(x)))
 
     def test_consensus_is_fixed_point(self):
         sysd = systems.opinion_system(dim=10, seed=3)

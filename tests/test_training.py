@@ -187,6 +187,44 @@ class TestTrain:
         npt.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
         assert rep_a.final_loss == rep_b.final_loss
 
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_in_place_adam_matches_out_of_place_loop(self, block, monkeypatch):
+        if block is not None:  # blocks that split both layers unevenly
+            monkeypatch.setattr(training, "ADAM_BLOCK", block)
+        traj = linear_trajectory(0.02)
+        # G * d_in = 10 is no power of two, so the inner step's rounding
+        # depends on the order of its factors
+        cfg = tiny_config(iterations=5, intervals=5)
+        net, rep = training.train(cfg, traj)
+        assert rep.best_iteration == 5  # the returned network is the last iterate
+        # plain Adam, one fresh array per operation
+        start = kan.init_network(
+            2, 2, hidden=2, degree=3, intervals=5,
+            input_range=training.input_range_from_states(traj.states), seed=1)
+        stencil = training.ResidualStencil(lmm.scheme("am", 1), traj, "jah")
+        ev = kan.BatchEvaluator(start, traj.states)
+        n_inner = start.inner_coeffs.size
+        params = kan.get_params(start)
+        step = np.full(params.shape, cfg.learning_rate)
+        step[:n_inner] *= (start.hidden_hi - start.hidden_lo) / (cfg.intervals * 2)
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
+        trace = []
+        for t in range(1, cfg.iterations + 1):
+            inner = params[:n_inner].reshape(start.inner_coeffs.shape)
+            outer = params[n_inner:].reshape(start.outer_coeffs.shape)
+            loss, grad_u = stencil.loss_and_grad(ev.forward(inner, outer))
+            trace.append(loss)
+            g_inner, g_outer = ev.backward(outer, grad_u)
+            g = np.concatenate([g_inner.ravel(), g_outer.ravel()])
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1 ** t)
+            v_hat = v / (1.0 - cfg.beta2 ** t)
+            params = params - step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        npt.assert_array_equal(rep.loss_trace, trace)
+        npt.assert_array_equal(kan.get_params(net), params)
+
     def test_zero_iterations_returns_initialization(self):
         traj = linear_trajectory(0.02)
         cfg = tiny_config(iterations=0)
