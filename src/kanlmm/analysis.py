@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy.integrate import solve_ivp
 
 from . import kan as kan_mod
 from .bspline import eval_basis_derivative
 from .kan import KanNetwork
-from .odeint import IntegrationError
+from .odeint import integrate_at
 
 Array = npt.NDArray[np.float64]
 
@@ -204,21 +203,10 @@ def gronwall_study(model, field, x0, t_list, rtol: float = 1e-13, atol: float = 
         model_field = lambda y: kan_mod.forward(net, y)  # noqa: E731
     else:
         model_field = model
-    x0 = np.asarray(x0, dtype=np.float64)
     t_max = t_list[-1]
-
-    def run(f):
-        sol = solve_ivp(lambda _t, y: f(y), (0.0, t_max), x0, method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=t_list)
-        if not sol.success:
-            raise IntegrationError(sol.message or "integration failed")
-        if not np.all(np.isfinite(sol.y)):
-            raise IntegrationError("integration produced non-finite states")
-        return sol.y  # (d, len(t_list))
-
-    ref = run(field)
-    learned = run(model_field)
-    gaps = np.max(np.abs(ref - learned), axis=0)
+    ref = integrate_at(field, x0, 0.0, t_max, t_list, rtol, atol)
+    learned = integrate_at(model_field, x0, 0.0, t_max, t_list, rtol, atol)
+    gaps = np.max(np.abs(ref - learned), axis=1)
     return [(t, float(e)) for t, e in zip(t_list, gaps)]
 
 

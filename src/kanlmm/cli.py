@@ -3,10 +3,13 @@
 Subcommands: gen, solve-grid, train, predict, bounds, experiment.
 Precedence is defaults < flags < config file: a JSON config passed via
 --config overrides anything given on the command line, so a config file
-fully pins down a run.  Unknown config keys are rejected.
+fully pins down a run.  Its keys are the subcommand's option names
+(``out_dir`` for ``--out-dir``); each value is parsed as that option's
+flag would be, and unknown keys are rejected.
 
-Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 integration failure,
-5 model-document error, 6 training divergence.
+Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 integration failure
+or a singular or unstable grid-value system (solve-grid writes nothing
+then), 5 model-document error, 6 training divergence.
 """
 from __future__ import annotations
 
@@ -40,22 +43,32 @@ def _system_from_args(args) -> systems.SystemDef:
     return systems.by_name(name)
 
 
-def _apply_config(args: argparse.Namespace, allowed: set[str]) -> None:
-    """Overlay a JSON config document onto parsed flags (config wins)."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
+def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
+    """A JSON config document as flags of ``command``'s parser."""
+    with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(doc) - allowed
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    unknown = set(doc) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
     for key, value in doc.items():
-        setattr(args, key, value)
+        action = options[key]
+        if action.nargs == 0:  # --flag / --no-flag
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+            flags.append(action.option_strings[0 if value else 1])
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{action.option_strings[0]}={value}")
+        else:
+            raise ValueError(f"config key {key!r} must be a string or a number, got {value!r}")
+    return flags
 
 
 def _write_grid_csv(path, times, states, fhat, ftrue=None) -> None:
@@ -88,7 +101,15 @@ def cmd_gen(args) -> int:
 def cmd_solve_grid(args) -> int:
     traj = odeint.load_trajectory(args.data)
     scheme = lmm.scheme(args.scheme, args.steps)
-    window, fhat = discovery.solve_all_components(scheme, traj)
+    try:
+        window, fhat = discovery.solve_all_components(scheme, traj)
+        kappa = discovery.condition_number(discovery.assemble(scheme, traj, 0))
+        if not np.all(np.isfinite(fhat)):
+            raise discovery.SingularSystemError("recovered grid values are not finite")
+    except (discovery.SingularSystemError, discovery.ZeroDiagonalError) as exc:
+        modulus = lmm.root_condition(scheme).max_modulus
+        raise type(exc)(f"{exc}; {scheme.family}-{scheme.steps} beta polynomial "
+                        f"has max |root| = {modulus:.4g}") from None
     sl = slice(window.r, window.q + 1)
     times = traj.times[sl]
     states = traj.states[sl]
@@ -99,9 +120,8 @@ def cmd_solve_grid(args) -> int:
             raise ValueError(f"system dimension {sys_def.dim} != trajectory dim {traj.dim}")
         ftrue = np.apply_along_axis(sys_def.field, 1, states)
     _write_grid_csv(args.out, times, states, fhat, ftrue)
-    report = discovery.condition_number(discovery.assemble(scheme, traj, 0))
     print(f"wrote {args.out}: window [{window.r}, {window.q}], tau = {window.tau}, "
-          f"kappa2 = {report:.6g}")
+          f"kappa2 = {kappa:.6g}")
     if ftrue is not None:
         print(f"max grid error vs true field: {np.max(np.abs(fhat - ftrue)):.6g}")
     return EXIT_OK
@@ -214,7 +234,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0, help="initial-condition seed (opinion only)")
     p.add_argument("--out", required=True)
 
-    p = add("solve-grid", cmd_solve_grid, "recover field grid values by forward substitution")
+    p = add("solve-grid", cmd_solve_grid, "recover field grid values by a recursive filter")
     p.add_argument("--data", required=True, help="trajectory CSV")
     p.add_argument("--scheme", default="am", choices=list(lmm.FAMILIES))
     p.add_argument("--steps", type=int, default=1)
@@ -266,7 +286,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("experiment", cmd_experiment, "run a benchmark experiment protocol")
     p.add_argument("name", choices=list(experiments.EXPERIMENT_NAMES))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--full", action="store_true",
+    p.add_argument("--full", action=argparse.BooleanOptionalAction, default=False,
                    help="full reference scale (slow); default is quick desk scale")
     p.add_argument("--seed", type=int, default=0)
 
@@ -275,10 +295,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, tables = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    allowed = {a.dest for a in tables[args.command]._actions} - {"help", "config", "func"}
     try:
-        _apply_config(args, allowed)
+        if args.config:
+            # config flags come last, so they win over the command line
+            args = parser.parse_args(argv + _config_flags(args.config, tables[args.command]))
         return args.func(args)
     except (kan.ModelFormatError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -286,7 +308,8 @@ def main(argv=None) -> int:
     except training.TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except odeint.IntegrationError as exc:
+    except (odeint.IntegrationError, discovery.SingularSystemError,
+            discovery.ZeroDiagonalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
     except OSError as exc:

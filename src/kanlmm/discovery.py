@@ -2,11 +2,15 @@
 
 For a multistep scheme the residual equations in the unknowns
 u_n = f(x(t_n)) form a banded block B_h acting on the window n = r..q.
-Squaring the system requires aux_count extra rows; these pin down the
-earliest unknowns with one-sided difference approximations of the same
-order as the scheme.  Stacked as A_h = [C; B_h], the system is lower
-triangular with the scheme's trailing beta on the diagonal, so grid
-values follow from forward substitution in O(tau * steps) time.
+Squaring the system requires aux_count = len(stencil) - 1 extra rows;
+these pin down the earliest unknowns with one-sided difference
+approximations of the same order as the scheme.  Stacked as
+A_h = [C; B_h], the system is lower triangular and every row below the
+identity block C carries the same beta stencil, so solving it is a
+linear recursive filter: the multistep right-hand side is the input and
+the one-sided start-up values are the initial conditions (Keller & Du,
+SINUM 59, 2021).  Grid values follow from scipy.signal.lfilter in
+O(tau * steps) time.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+from scipy import sparse
 
 from . import lmm
 from .lmm import IndexWindow, LmmScheme
@@ -25,7 +30,7 @@ DENSE_LIMIT = 2000
 
 
 class ZeroDiagonalError(RuntimeError):
-    """Forward substitution would divide by a (structurally) zero pivot."""
+    """The recursive filter would divide by a (structurally) zero pivot."""
 
 
 class SingularSystemError(RuntimeError):
@@ -59,30 +64,23 @@ class GridSystem:
         """Stacked right-hand side, auxiliary rows first."""
         return np.concatenate([self.aux_rhs, self.lmm_rhs])
 
-    def dense_lmm_block(self) -> Array:
-        """B_h as a dense (n1 - steps + 1, tau) array; small systems only."""
-        self._check_dense()
+    def matrix(self) -> sparse.csr_array:
+        """A_h = [C; B_h] as a sparse (tau, tau) band."""
         rows = self.lmm_rhs.shape[0]
         width = self.stencil.shape[0]
-        b = np.zeros((rows, self.tau))
-        for i in range(rows):
-            b[i, i : i + width] = self.stencil
-        return b
+        lmm_block = sparse.diags_array(list(self.stencil), offsets=range(width),
+                                       shape=(rows, self.tau))
+        aux_block = sparse.eye_array(self.window.aux_count, self.tau)
+        return sparse.vstack([aux_block, lmm_block], format="csr")
 
     def dense_matrix(self) -> Array:
-        """A_h = [C; B_h] as a dense (tau, tau) array; small systems only."""
-        self._check_dense()
-        aux = self.window.aux_count
-        c = np.zeros((aux, self.tau))
-        c[np.arange(aux), np.arange(aux)] = 1.0
-        return np.vstack([c, self.dense_lmm_block()])
-
-    def _check_dense(self):
+        """A_h as a dense (tau, tau) array; small systems only."""
         if self.tau > DENSE_LIMIT:
             raise ValueError(
                 f"dense assembly disabled for tau={self.tau} > {DENSE_LIMIT}; "
                 "use the banded solve or condition_number directly"
             )
+        return self.matrix().toarray()
 
 
 def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
@@ -98,45 +96,34 @@ def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
         raise ValueError(
             f"need n1 >= steps + order = {sch.steps + sch.order}, got {n1}"
         )
-    window = lmm.index_window(sch, n1)
-    x = traj.states[:, component]
-    h = traj.h
-
-    m = sch.steps
-    lmm_rhs = np.zeros(n1 - m + 1)
-    for mm in range(m + 1):
-        lmm_rhs += (sch.alpha[mm] / h) * x[m - mm : n1 + 1 - mm]
-
-    mu = lmm.fdm_coefficients(sch.order)
-    aux_rhs = np.zeros(window.aux_count)
-    for j, n in enumerate(range(window.r, window.r + window.aux_count)):
-        aux_rhs[j] = mu @ x[n : n + sch.order + 1] / h
-
+    b, c = lmm.data_terms(sch, traj.states[:, [component]], traj.h)
     m_min, m_max = sch.beta_support
     stencil = sch.beta[m_min : m_max + 1][::-1].copy()
-    return GridSystem(scheme=sch, window=window, h=h,
-                      stencil=stencil, lmm_rhs=lmm_rhs, aux_rhs=aux_rhs)
+    return GridSystem(scheme=sch, window=lmm.index_window(sch, n1), h=traj.h,
+                      stencil=stencil, lmm_rhs=b[:, 0], aux_rhs=c[:, 0])
+
+
+def _filter(system: GridSystem, lmm_rhs: Array, initial: Array) -> Array:
+    """Solve the multistep rows for the unknowns after the first aux_count.
+
+    Row i reads sum_j stencil[j] u[i + j] = lmm_rhs[i]; with y_i the
+    newest unknown u[i + aux_count] this is the recursion
+    sum_k stencil[-1 - k] y_{i-k} = lmm_rhs[i], started from the
+    aux_count earlier values ``initial`` (oldest first).
+    """
+    # Importing scipy.signal adds about 23 MB of resident memory, so only
+    # grid-value recovery pays for it, not every import of the package.
+    from scipy.signal import lfilter, lfiltic
+
+    a = system.stencil[::-1]
+    if a[0] == 0.0:
+        raise ZeroDiagonalError("trailing beta coefficient is zero")
+    return lfilter([1.0], a, lmm_rhs, zi=lfiltic([1.0], a, initial[::-1]))[0]
 
 
 def solve_grid_values(system: GridSystem) -> Array:
-    """Forward substitution on the stacked system; returns u_r..u_q.
-
-    The auxiliary block is the identity on the first aux_count unknowns
-    and multistep row i has its last nonzero at column i + aux_count, so
-    the stacked matrix is unit lower triangular up to the trailing beta
-    pivot.
-    """
-    pivot = system.stencil[-1]
-    if pivot == 0.0:
-        raise ZeroDiagonalError("trailing beta coefficient is zero")
-    aux = system.window.aux_count
-    width = system.stencil.shape[0]
-    u = np.empty(system.tau)
-    u[:aux] = system.aux_rhs
-    body = system.stencil[:-1]
-    for i, rhs in enumerate(system.lmm_rhs):
-        u[i + width - 1] = (rhs - body @ u[i : i + width - 1]) / pivot
-    return u
+    """Grid values u_r..u_q: the auxiliary values, then the filter output."""
+    return np.concatenate([system.aux_rhs, _filter(system, system.lmm_rhs, system.aux_rhs)])
 
 
 def solve_all_components(sch: LmmScheme, traj: Trajectory) -> tuple[IndexWindow, Array]:
@@ -150,86 +137,37 @@ def solve_all_components(sch: LmmScheme, traj: Trajectory) -> tuple[IndexWindow,
     return window, np.column_stack(cols)
 
 
-def _solve_lower(system: GridSystem, rhs: Array) -> Array:
-    """Solve A_h u = rhs by the same forward recurrence as solve_grid_values."""
-    aux = system.window.aux_count
-    width = system.stencil.shape[0]
-    pivot = system.stencil[-1]
-    body = system.stencil[:-1]
-    u = np.empty(system.tau)
-    u[:aux] = rhs[:aux]
-    for i in range(system.lmm_rhs.shape[0]):
-        u[i + width - 1] = (rhs[aux + i] - body @ u[i : i + width - 1]) / pivot
-    return u
-
-
-def _solve_lower_t(system: GridSystem, rhs: Array) -> Array:
-    """Solve A_h^T v = rhs by back substitution on the transposed band."""
-    aux = system.window.aux_count
-    width = system.stencil.shape[0]
-    pivot = system.stencil[-1]
-    tau = system.tau
-    rows = system.lmm_rhs.shape[0]
-    v = np.zeros(tau)
-    # Column j of A_h touches multistep rows i with i <= j <= i + width - 1;
-    # in transpose order we sweep from the last unknown backwards.
-    for j in range(tau - 1, -1, -1):
-        acc = rhs[j]
-        # contributions from already-solved multistep entries in column j
-        i_lo = max(0, j - width + 1)
-        i_hi = min(rows - 1, j)
-        for i in range(i_lo, i_hi + 1):
-            col = j - i
-            if i + width - 1 == j:
-                continue  # the pivot entry of row i defines v there
-            acc -= system.stencil[col] * v[aux + i]
-        if j >= aux:
-            v[j] = acc / pivot
-        else:
-            v[j] = acc  # identity pivot of the auxiliary block
-    return v
-
-
 def condition_number(system: GridSystem, dense_limit: int = DENSE_LIMIT) -> float:
     """Spectral condition number kappa_2(A_h).
 
     Small systems go through a dense SVD.  Larger ones estimate the
     extreme singular values iteratively: power iteration on A^T A for
-    the largest and on the banded inverse for the smallest, which the
-    triangular structure makes cheap.
+    the largest and on A^-1 A^-T for the smallest, whose solves are the
+    recursive filter.
     """
-    tau = system.tau
-    if tau <= dense_limit:
-        a = _dense_matrix_unchecked(system)
-        svals = np.linalg.svd(a, compute_uv=False)
+    a = system.matrix()
+    if system.tau <= dense_limit:
+        svals = np.linalg.svd(a.toarray(), compute_uv=False)
         if svals[-1] <= 1e-14 * svals[0]:
             raise SingularSystemError("grid-value system is numerically singular")
         return float(svals[0] / svals[-1])
 
-    rng = np.random.default_rng(1234)
     aux = system.window.aux_count
-    width = system.stencil.shape[0]
-    rows = system.lmm_rhs.shape[0]
+    # A^T = [[I, B1^T], [0, B2^T]] with B2 the square Toeplitz part of B_h;
+    # reversing both axes of B2^T gives B2 back, so B2^T solves are the
+    # same filter run backwards from zero initial conditions.
+    b1_t = a[aux:, :aux].T
 
-    def apply_a(v: Array) -> Array:
-        out = np.empty(tau)
-        out[:aux] = v[:aux]
-        w = np.convolve(v, system.stencil[::-1], mode="valid")
-        out[aux:] = w[:rows]
-        return out
+    def solve(v: Array) -> Array:
+        return np.concatenate([v[:aux], _filter(system, v[aux:], v[:aux])])
 
-    def apply_at(v: Array) -> Array:
-        out = np.zeros(tau)
-        out[:aux] += v[:aux]
-        body = v[aux:]
-        for col in range(width):
-            out[col : col + rows] += system.stencil[col] * body
-        return out
+    def solve_t(v: Array) -> Array:
+        body = _filter(system, v[aux:][::-1], np.zeros(aux))[::-1]
+        return np.concatenate([v[:aux] - b1_t @ body, body])
 
-    sigma_max = _power_iterate(lambda v: apply_at(apply_a(v)), tau, rng)
-    sigma_min_inv = _power_iterate(
-        lambda v: _solve_lower(system, _solve_lower_t(system, v)), tau, rng
-    )
+    rng = np.random.default_rng(1234)
+    sigma_max = _power_iterate(lambda v: a.T @ (a @ v), system.tau, rng)
+    sigma_min_inv = _power_iterate(lambda v: solve(solve_t(v)), system.tau, rng)
     if not np.isfinite(sigma_min_inv) or sigma_min_inv <= 0:
         raise SingularSystemError("grid-value system is numerically singular")
     return float(np.sqrt(sigma_max) * np.sqrt(sigma_min_inv))
@@ -249,14 +187,3 @@ def _power_iterate(op, n: int, rng, iters: int = 200, tol: float = 1e-10) -> flo
             return nw
         lam, v = nw, v_new
     return lam
-
-
-def _dense_matrix_unchecked(system: GridSystem) -> Array:
-    aux = system.window.aux_count
-    rows = system.lmm_rhs.shape[0]
-    width = system.stencil.shape[0]
-    a = np.zeros((system.tau, system.tau))
-    a[np.arange(aux), np.arange(aux)] = 1.0
-    for i in range(rows):
-        a[aux + i, i : i + width] = system.stencil
-    return a

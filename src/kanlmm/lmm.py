@@ -261,6 +261,31 @@ def fdm_coefficients(order: int) -> Array:
     return np.array([float(v) for v in mu])
 
 
+def data_terms(sch: LmmScheme, states: Array, h: float,
+               startup: bool = True) -> tuple[Array, Array]:
+    """Data side of the multistep rows and of the one-sided start-up rows.
+
+    Returns b, the (1/h) alpha combination of the states for
+    n = steps..n1 with shape (n1 - steps + 1, d), and c, the one-sided
+    difference estimates of the field at the first aux_count window
+    indices with shape (aux_count, d).  ``startup=False`` skips c
+    (returned with shape (0, d)); otherwise n1 >= steps + order is needed.
+    """
+    n1, d = states.shape[0] - 1, states.shape[1]
+    m = sch.steps
+    b = np.zeros((n1 - m + 1, d))
+    for mm in range(m + 1):
+        b += (sch.alpha[mm] / h) * states[m - mm : n1 + 1 - mm]
+    if not startup:
+        return b, np.zeros((0, d))
+    w = index_window(sch, n1)
+    mu = fdm_coefficients(sch.order)
+    c = np.zeros((w.aux_count, d))
+    for j, n in enumerate(range(w.r, w.r + w.aux_count)):
+        c[j] = mu @ states[n : n + sch.order + 1] / h
+    return b, c
+
+
 @dataclass(frozen=True)
 class RootConditionReport:
     """Roots of the beta polynomial and the strict stability verdict.
@@ -279,7 +304,7 @@ class RootConditionReport:
 def root_condition(sch: LmmScheme) -> RootConditionReport:
     """Check the root condition for the grid-value recursion.
 
-    The forward substitution that recovers grid values amplifies
+    The recursive filter that recovers grid values amplifies
     perturbations through the polynomial
     p(z) = sum_{i=m_min}^{m_max} beta_i z^(m_max - i); the recursion is
     stable when all roots lie strictly inside the unit circle.  A scheme

@@ -95,15 +95,28 @@ def integrate(field, x0, t0: float, t1: float, h: float,
     """Integrate dx/dt = field(x) and sample on the uniform grid of step h.
 
     ``field`` maps a state vector to its derivative; the system is
-    autonomous.  Raises StepUnderflowError / NonFiniteStateError when the
-    integrator gives up; stiff stretches that only reject steps are
-    retried once with max_step = 1e-4 before failing.
+    autonomous.  Failures are those of ``integrate_at``.
+    """
+    n1 = grid_size(t0, t1, h)
+    times = t0 + h * np.arange(n1 + 1)
+    states = integrate_at(field, x0, t0, t1, times, rtol, atol, max_step)
+    return Trajectory(t0=float(t0), t1=float(t0 + n1 * h), h=float(h),
+                      states=states, provenance=provenance)
+
+
+def integrate_at(field, x0, t0: float, t1: float, times,
+                 rtol: float = 1e-13, atol: float = 1e-13,
+                 max_step: float | None = None) -> Array:
+    """Integrate dx/dt = field(x) over [t0, t1]; the states at ``times``.
+
+    Returns shape (len(times), d), read from the dense output.  Raises
+    StepUnderflowError / NonFiniteStateError when the integrator gives
+    up; stiff stretches that only reject steps are retried once with
+    max_step = 1e-4 before failing.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite vector")
-    n1 = grid_size(t0, t1, h)
-    times = t0 + h * np.arange(n1 + 1)
 
     def rhs(_t, y):
         return field(y)
@@ -125,8 +138,7 @@ def integrate(field, x0, t0: float, t1: float, h: float,
     states = sol.sol(times).T
     if not np.all(np.isfinite(states)):
         raise NonFiniteStateError("integration produced non-finite states")
-    return Trajectory(t0=float(t0), t1=float(t0 + n1 * h), h=float(h),
-                      states=states, provenance=provenance)
+    return states
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

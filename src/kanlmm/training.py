@@ -113,24 +113,13 @@ class ResidualStencil:
             raise ValueError(f"trajectory too short: need n1 >= {needed}, got {n1}")
         self.scheme = scheme
         self.kind = kind
-        self.window = lmm.index_window(scheme, n1)
-        h = traj.h
-        x = traj.states
+        self.window = w = lmm.index_window(scheme, n1)
         self.shifts = [slice(m - mm, n1 + 1 - mm) for mm in range(m + 1)]
-        self.b = np.zeros((n1 - m + 1, traj.dim))
-        for mm, sl in enumerate(self.shifts):
-            self.b += (scheme.alpha[mm] / h) * x[sl]
-        rows = self.b.shape[0]
+        self.b, self.c = lmm.data_terms(scheme, traj.states, traj.h, startup=kind == "jah")
         if kind == "jh":
             self.aux_slice = slice(0, 0)
-            self.c = np.zeros((0, traj.dim))
-            self.norm = float(rows)
+            self.norm = float(self.b.shape[0])
         else:
-            w = self.window
-            mu = lmm.fdm_coefficients(scheme.order)
-            self.c = np.zeros((w.aux_count, traj.dim))
-            for j, n in enumerate(range(w.r, w.r + w.aux_count)):
-                self.c[j] = mu @ x[n : n + scheme.order + 1] / h
             self.aux_slice = slice(w.r, w.r + w.aux_count)
             self.norm = float(w.tau)
 
@@ -310,11 +299,3 @@ def train(config: TrainConfig, traj: Trajectory,
         report.seminorm_error_components = [l2_seminorm(err[:, c]) for c in range(err.shape[1])]
     return net, report
 
-
-def fit_report_seminorm(net: KanNetwork, traj: Trajectory, scheme: LmmScheme, true_field) -> float:
-    """Windowed RMS gap between the network and a known field at grid states."""
-    w = lmm.index_window(scheme, traj.n_steps)
-    sl = slice(w.r, w.q + 1)
-    u = kan.forward(net, traj.states[sl])
-    fvals = np.apply_along_axis(true_field, 1, traj.states[sl])
-    return l2_seminorm(np.linalg.norm(u - fvals, axis=1))

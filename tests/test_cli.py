@@ -8,6 +8,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from kanlmm import analysis, cli, kan, odeint
 
@@ -25,6 +27,8 @@ def traj_csv(tmp_path_factory):
     return path
 
 
+DOCUMENTED_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO, cli.EXIT_INTEGRATION,
+                         cli.EXIT_MODEL, cli.EXIT_DIVERGED}
 TRAIN_QUICK = ["--scheme", "am", "--steps", "1", "--k", "3", "--grid", "4",
                "--hidden", "2", "--lr", "0.05", "--iters", "5"]
 
@@ -86,6 +90,19 @@ class TestSolveGrid:
                      "--out", str(tmp_path / "grid.csv"))
         assert rc == cli.EXIT_IO
 
+    def test_unstable_scheme_writes_nothing(self, tmp_path, capsys):
+        # AM-4 violates the root condition: its grid values overflow
+        data, out = tmp_path / "fine.csv", tmp_path / "grid.csv"
+        assert run_cli("gen", "--system", "linear", "--h", "1e-3", "--out", str(data)) == 0
+        capsys.readouterr()
+        rc = run_cli("solve-grid", "--data", str(data), "--scheme", "am", "--steps", "4",
+                     "--out", str(out))
+        assert rc == cli.EXIT_INTEGRATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "max |root| = 2.977" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_report(self, traj_csv, tmp_path, capsys):
@@ -132,6 +149,31 @@ class TestTrain:
         rc = run_cli("train", "--data", str(traj_csv), *TRAIN_QUICK,
                      "--config", str(cfg), "--out", str(tmp_path / "m.json"))
         assert rc == cli.EXIT_USAGE
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.dictionaries(
+        st.sampled_from(["grid", "k", "hidden", "steps", "iters", "seed",
+                         "lr", "scheme", "loss"]),
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.text(alphabet="abjm.e-", max_size=4),
+                  st.lists(st.integers(0, 3), max_size=2)),
+        max_size=3))
+    @example(doc={"grid": "abc"})
+    @example(doc={"grid": 2.5})
+    def test_config_values_end_in_documented_exit_code(self, traj_csv, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["train", "--data", str(traj_csv), *TRAIN_QUICK, "--config", str(cfg),
+                "--out", str(tmp_path / "m.json")]
+        try:
+            rc = run_cli(*argv)
+        except SystemExit as exc:  # argparse rejected a value
+            rc = exc.code
+        assert rc in DOCUMENTED_EXIT_CODES
+        if "grid" in doc and not isinstance(doc["grid"], int):
+            assert rc == cli.EXIT_USAGE
 
     def test_malformed_config_rejected(self, traj_csv, tmp_path):
         cfg = tmp_path / "cfg.json"

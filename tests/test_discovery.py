@@ -1,9 +1,9 @@
 """Grid-value recovery tests.
 
-The forward-substitution solver is checked against a dense numpy solve of
-the same assembled matrix, against exact derivatives on polynomial
-trajectories, and for the expected convergence order on the linear
-benchmark.
+The recursive-filter solver is checked against a per-row substitution
+loop, against a dense numpy solve of the same assembled matrix, against
+exact derivatives on polynomial trajectories, and for the expected
+convergence order on the linear benchmark.
 """
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +30,37 @@ def poly_trajectory(coeffs, h: float, n1: int) -> Trajectory:
 
 
 ALL_SMALL_SCHEMES = [(fam, m) for fam in lmm.FAMILIES for m in (1, 2, 3)]
+# small schemes whose beta polynomial has no root outside the unit circle
+STABLE_SMALL_SCHEMES = [(fam, m) for fam, m in ALL_SMALL_SCHEMES
+                        if lmm.root_condition(lmm.scheme(fam, m)).max_modulus <= 1.0]
+
+
+def row_loop_reference(system: discovery.GridSystem) -> np.ndarray:
+    """Forward substitution one multistep row at a time."""
+    pivot = system.stencil[-1]
+    aux = system.window.aux_count
+    width = system.stencil.shape[0]
+    u = np.empty(system.tau)
+    u[:aux] = system.aux_rhs
+    body = system.stencil[:-1]
+    for i, rhs in enumerate(system.lmm_rhs):
+        u[i + width - 1] = (rhs - body @ u[i : i + width - 1]) / pivot
+    return u
+
+
+@pytest.mark.parametrize("family,steps", STABLE_SMALL_SCHEMES)
+def test_filter_matches_row_loop_reference(family, steps):
+    sch = lmm.scheme(family, steps)
+    traj = linear_trajectory(1e-4)
+    for component in range(traj.dim):
+        system = discovery.assemble(sch, traj, component)
+        u = discovery.solve_grid_values(system)
+        expected = row_loop_reference(system)
+        if system.stencil.shape[0] == 1 or (family, steps) == ("am", 1):
+            # dividing by 1 or by 1/2 rounds the same inside the filter
+            npt.assert_array_equal(u, expected)
+        else:
+            assert np.max(np.abs(u - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("family,steps", ALL_SMALL_SCHEMES)
@@ -132,11 +163,12 @@ class TestConditionNumber:
             assert discovery.condition_number(system) == pytest.approx(1.0, abs=1e-12)
 
     def test_iterative_estimate_matches_dense(self):
-        sch = lmm.scheme("ab", 2)
-        system = discovery.assemble(sch, linear_trajectory(1.0 / 300), 0)
-        dense = discovery.condition_number(system)
-        iterative = discovery.condition_number(system, dense_limit=10)
-        assert iterative == pytest.approx(dense, rel=1e-2)
+        for family, steps in (("ab", 2), ("am", 1), ("bdf", 2)):
+            sch = lmm.scheme(family, steps)
+            system = discovery.assemble(sch, linear_trajectory(1.0 / 300), 0)
+            dense = discovery.condition_number(system)
+            iterative = discovery.condition_number(system, dense_limit=10)
+            assert iterative == pytest.approx(dense, rel=1e-2), (family, steps)
 
     def test_adams_kappa_does_not_blow_up_with_length(self):
         sch = lmm.scheme("ab", 2)

@@ -281,11 +281,3 @@ class TestTrain:
         assert rep.config["intervals"] == 4
         assert rep.seed == cfg.seed
 
-
-def test_fit_report_seminorm_zero_for_self():
-    traj = linear_trajectory(0.05)
-    net = kan.init_network(2, 2, hidden=2, intervals=4, seed=0,
-                           input_range=training.input_range_from_states(traj.states))
-    sch = lmm.scheme("am", 1)
-    gap = training.fit_report_seminorm(net, traj, sch, lambda s: kan.forward(net, s))
-    assert gap == 0.0
