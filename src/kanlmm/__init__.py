@@ -18,7 +18,7 @@ from .kan import (BatchEvaluator, KanNetwork, ModelFormatError, ModelVersionErro
                   deserialize, forward, get_params, gradient, init_network,
                   load_model, save_model, serialize, set_params)
 from .training import (ResidualStencil, TrainConfig, TrainReport,
-                       TrainingDivergedError, loss_jah, loss_jh, train)
+                       TrainingDivergedError, train)
 from .analysis import (BoundsReport, HolderSpec, bounds_report, fit_log_linear,
                        gronwall_envelope, gronwall_study, l2_seminorm,
                        lipschitz_estimate, upper_bound, upper_bound_unit_box,

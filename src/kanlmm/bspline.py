@@ -1,8 +1,12 @@
 """Univariate B-spline bases on clamped uniform knot vectors.
 
-Values and first derivatives come from the local Cox-de Boor triangle:
-at each point only the ``degree + 1`` functions of its knot span are
-computed, and the dense tables are scatters of them.  Inputs
+Values and first derivatives come from per-span power-form tables (the
+pp-form of de Boor, *A Practical Guide to Splines*, ch. VII): on a
+uniform knot vector the ``degree + 1`` functions nonzero on a knot span
+are fixed polynomials in the local coordinate ``u = G (x - lo) / (hi -
+lo) - span``, so each basis tabulates their coefficients once, from the
+local Cox-de Boor triangle, and a point costs one gather and one small
+product.  The dense tables are scatters of the local values.  Inputs
 outside the domain are clamped to it, so downstream consumers never see
 a non-finite basis value and the splines extend as constants.
 """
@@ -23,6 +27,8 @@ class BSplineBasis:
     The knot vector repeats each boundary ``degree + 1`` times and places
     ``intervals - 1`` uniformly spaced interior knots, giving ``intervals``
     polynomial pieces and ``intervals + degree`` basis functions.
+    ``power[s, j, r]`` is the coefficient of ``u**j`` in function
+    ``s + r`` on the ``s``-th piece, with ``u`` in ``[0, 1]`` across it.
     """
 
     degree: int
@@ -30,6 +36,7 @@ class BSplineBasis:
     lo: float
     hi: float
     knots: Array
+    power: Array
 
     @property
     def size(self) -> int:
@@ -57,13 +64,32 @@ def make_basis(degree: int, intervals: int, lo: float = 0.0, hi: float = 1.0) ->
         raise ValueError("domain endpoints must be finite")
     if not lo < hi:
         raise ValueError(f"domain must satisfy lo < hi, got [{lo}, {hi}]")
+    return BSplineBasis(degree, intervals, float(lo), float(hi),
+                        _clamped_knots(degree, intervals, lo, hi),
+                        _power_table(degree, intervals))
+
+
+def _clamped_knots(degree: int, intervals: int, lo: float, hi: float) -> Array:
     interior = lo + (hi - lo) * np.arange(1, intervals) / intervals
-    knots = np.concatenate([
-        np.full(degree + 1, lo),
-        interior,
-        np.full(degree + 1, hi),
-    ])
-    return BSplineBasis(degree, intervals, float(lo), float(hi), knots)
+    return np.concatenate([np.full(degree + 1, lo), interior, np.full(degree + 1, hi)])
+
+
+def _power_table(degree: int, intervals: int) -> Array:
+    """Power-form coefficients ``(intervals, k+1, k+1)`` of every span.
+
+    Runs the Cox-de Boor triangle on the integer knots ``0 .. G`` at
+    ``k + 1`` nodes inside each span and interpolates.  The nodes are
+    Chebyshev points rounded to multiples of 2**-20, so every knot
+    difference in the triangle is exact and spans with the same local
+    knot pattern get bit-identical rows.
+    """
+    k = degree
+    cheb = 0.5 - 0.5 * np.cos((2 * np.arange(k + 1) + 1) * np.pi / (2 * k + 2))
+    nodes = np.round(cheb * 2.0 ** 20) / 2.0 ** 20
+    x = (np.arange(intervals)[:, None] + nodes).ravel()
+    _, vals, _ = _cox_de_boor(_clamped_knots(k, intervals, 0.0, float(intervals)), k, x)
+    vander = nodes[:, None] ** np.arange(k + 1)
+    return np.linalg.solve(vander, vals.reshape(intervals, k + 1, k + 1))
 
 
 def greville_abscissae(basis: BSplineBasis) -> Array:
@@ -82,14 +108,52 @@ def eval_local(basis: BSplineBasis, x: Array) -> tuple[Array, Array, Array]:
     Returns ``(span, vals, derivs)``: ``span`` (n,) is the index of the
     knot interval ``[t_span, t_span+1)`` holding each point, and ``vals``
     and ``derivs`` (n, k+1) hold functions ``span-k .. span``, the only
-    ones nonzero there.  This is the local de Boor triangle (Piegl &
-    Tiller, algorithms A2.2/A2.3): inside a nonempty span no denominator
-    vanishes, so no 0/0 convention is needed.  Half-open spans give
-    right-limit values at interior knots; the top knot belongs to the last
-    nonempty span so partition of unity holds on the closed domain.
+    ones nonzero there.  Half-open spans give right-limit values at
+    interior knots; the top knot belongs to the last nonempty span so
+    partition of unity holds on the closed domain.  The span is the one
+    a binary search of ``basis.knots`` gives, found as ``floor(G (x -
+    lo) / (hi - lo))`` plus one correction step against the stored knots.
+
+    Both come from ``basis.power``, built once from the Cox-de Boor
+    triangle: values are ``[1, u, .., u^k]`` times the span's table and
+    derivatives ``[1, 2u, .., k u^(k-1)] * G / (hi - lo)`` times its
+    last ``k`` rows.  A span's functions depend only on the knots
+    ``t_span-k+1 .. t_span+k``, so pieces ``k-1 .. G-k`` share one
+    cardinal table and take one matrix product; the rest gather theirs.
     """
-    k, t = basis.degree, basis.knots
-    span = np.clip(np.searchsorted(t, x, side="right") - 1, k, k + basis.intervals - 1)
+    k, g, knots = basis.degree, basis.intervals, basis.knots
+    scale = g / (basis.hi - basis.lo)
+    span = np.clip(((x - basis.lo) * scale).astype(np.intp), 0, g - 1) + k
+    span -= x < knots[span]
+    span += x >= knots[span + 1]
+    np.clip(span, k, k + g - 1, out=span)
+    piece = span - k
+    powers = np.empty((k + 1, x.shape[0]))
+    powers[0] = 1.0
+    np.multiply(x - knots[span], scale, out=powers[1])
+    for j in range(2, k + 1):
+        np.multiply(powers[j - 1], powers[1], out=powers[j])
+    slopes = powers[:k] * (np.arange(1, k + 1) * scale)[:, None]
+    # below G = 2k - 1 no piece is cardinal and every row is an edge row
+    shared = basis.power[min(k - 1, g - 1)]
+    vals = powers.T @ shared
+    derivs = slopes.T @ shared[1:]
+    edge = np.flatnonzero((piece < k - 1) | (piece > g - k))
+    rows = basis.power[piece[edge]]
+    vals[edge] = np.einsum("jn,njr->nr", powers.take(edge, axis=1), rows)
+    derivs[edge] = np.einsum("jn,njr->nr", slopes.take(edge, axis=1), rows[:, 1:])
+    return span, vals, derivs
+
+
+def _cox_de_boor(knots: Array, degree: int, x: Array) -> tuple[Array, Array, Array]:
+    """``eval_local``'s ``(span, vals, derivs)`` by the local de Boor triangle.
+
+    Piegl & Tiller, algorithms A2.2/A2.3, on any clamped knot vector:
+    inside a nonempty span no denominator vanishes, so no 0/0 convention
+    is needed.  The power-form tables are built from it.
+    """
+    k, t = degree, knots
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, k, t.shape[0] - k - 2)
     n = x.shape[0]
     # left[:, j] = x - t[span+1-j], right[:, j] = t[span+j] - x
     left = np.zeros((n, k + 1))

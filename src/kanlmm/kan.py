@@ -138,16 +138,15 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     if np.any(hi <= lo):
         raise ValueError("each input range must have positive width")
 
-    inner_basis = make_basis(degree, intervals)
-    outer_basis = make_basis(degree, intervals)
+    basis = make_basis(degree, intervals)
+    xi = greville_abscissae(basis)
     rng = np.random.default_rng(seed)
 
-    def affine_edges(bound: float, shape: tuple, basis: BSplineBasis) -> Array:
+    def affine_edges(bound: float, shape: tuple) -> Array:
         ends = rng.uniform(-bound, bound, size=(*shape, 2))
-        xi = greville_abscissae(basis)
         return ends[..., :1] * (1.0 - xi) + ends[..., 1:] * xi
 
-    inner = affine_edges(np.sqrt(6.0 / (d_in + d_out)), (hidden, d_in), inner_basis)
+    inner = affine_edges(np.sqrt(6.0 / (d_in + d_out)), (hidden, d_in))
 
     if d_in <= CORNER_ENUM_LIMIT:
         bits = ((np.arange(2 ** d_in)[:, None] >> np.arange(d_in)) & 1).astype(np.float64)
@@ -157,7 +156,7 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     interior = rng.uniform(lo, hi, size=(CALIBRATION_SAMPLES, d_in))
     probe = np.vstack([corners, interior])
     xhat = np.clip((probe - lo) / (hi - lo), 0.0, 1.0)
-    z = _basis_matrix(inner_basis, xhat)[0] @ inner.reshape(hidden, -1).T
+    z = _basis_matrix(basis, xhat)[0] @ inner.reshape(hidden, -1).T
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo
     if span < 1e-12:
@@ -165,10 +164,10 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     hidden_lo = z_lo - 0.1 * span
     hidden_hi = z_hi + 0.1 * span
 
-    outer = affine_edges(np.sqrt(6.0 / hidden), (d_out, hidden), outer_basis)
+    outer = affine_edges(np.sqrt(6.0 / hidden), (d_out, hidden))
 
     return KanNetwork(
-        inner_basis=inner_basis, outer_basis=outer_basis,
+        inner_basis=basis, outer_basis=basis,
         input_lo=lo, input_hi=hi,
         hidden_lo=hidden_lo, hidden_hi=hidden_hi,
         inner_coeffs=inner, outer_coeffs=outer,
@@ -339,8 +338,9 @@ def deserialize(text: str) -> KanNetwork:
     if inner.shape != (n, d_in, g + k) or outer.shape != (d_out, n, g + k):
         raise ModelFormatError("coefficient arrays do not match the declared shape")
     try:
+        basis = make_basis(k, g)
         return KanNetwork(
-            inner_basis=make_basis(k, g), outer_basis=make_basis(k, g),
+            inner_basis=basis, outer_basis=basis,
             input_lo=input_range[:, 0], input_hi=input_range[:, 1],
             hidden_lo=hidden_range[0], hidden_hi=hidden_range[1],
             inner_coeffs=inner, outer_coeffs=outer,

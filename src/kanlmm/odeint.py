@@ -9,7 +9,6 @@ grid is bitwise reproducible.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,21 +143,11 @@ def integrate_at(field, x0, t0: float, t1: float, times,
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV: header ``t,x1,...,xd``, 17 significant digits."""
     with open(path, "w", newline="") as fh:
-        _write_csv(traj, fh)
-
-
-def trajectory_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    _write_csv(traj, buf)
-    return buf.getvalue()
-
-
-def _write_csv(traj: Trajectory, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.dim)])
-    times = traj.times
-    for n in range(traj.n_steps + 1):
-        writer.writerow([f"{times[n]:.17g}"] + [f"{v:.17g}" for v in traj.states[n]])
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.dim)])
+        times = traj.times
+        for n in range(traj.n_steps + 1):
+            writer.writerow([f"{times[n]:.17g}"] + [f"{v:.17g}" for v in traj.states[n]])
 
 
 def load_trajectory(path, provenance: str = "loaded") -> Trajectory:

@@ -14,6 +14,7 @@ produces bitwise-identical parameters.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -67,6 +68,9 @@ class TrainConfig:
     loss_kind: str = "jah"
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.iterations < 0:
@@ -150,18 +154,6 @@ class ResidualStencil:
             value += float(np.sum(aux_res ** 2))
             grad[self.aux_slice] += (2.0 / self.norm) * aux_res
         return value / self.norm, grad
-
-
-def loss_jh(net: KanNetwork, traj: Trajectory, scheme: LmmScheme) -> float:
-    """Mean squared multistep residual of the network on the trajectory."""
-    stencil = ResidualStencil(scheme, traj, "jh")
-    return stencil.loss(kan.forward(net, traj.states))
-
-
-def loss_jah(net: KanNetwork, traj: Trajectory, scheme: LmmScheme) -> float:
-    """Augmented loss: multistep residual plus one-sided collocation rows."""
-    stencil = ResidualStencil(scheme, traj, "jah")
-    return stencil.loss(kan.forward(net, traj.states))
 
 
 def input_range_from_states(states: Array, margin: float = INPUT_MARGIN) -> Array:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.interpolate import BSpline as SciPyBSpline
 
-from kanlmm.bspline import eval_basis, eval_basis_derivative, make_basis
+from kanlmm.bspline import _cox_de_boor, eval_basis, eval_basis_derivative, eval_local, make_basis
 
 
 def naive_bspline_value(knots, i, k, x):
@@ -45,6 +45,24 @@ def test_matches_naive_recursion(degree, intervals):
     for j, x in enumerate(pts):
         expected = [naive_bspline_value(basis.knots, i, degree, x) for i in range(basis.size)]
         npt.assert_allclose(vals[j], expected, atol=1e-13, rtol=0.0)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("intervals", [1, 2, 3, 5, 7, 10, 64, 100])
+def test_power_form_matches_cox_de_boor(degree, intervals):
+    # every knot, its floating-point neighbours on both sides, both ends
+    rng = np.random.default_rng(100 * degree + intervals)
+    for lo, hi in [(0.0, 1.0), (-1.0, 2.0)]:
+        basis = make_basis(degree, intervals, lo=lo, hi=hi)
+        knots = np.unique(basis.knots)
+        x = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                            rng.uniform(lo, hi, 300)])
+        x = np.clip(x, lo, hi)
+        span, vals, derivs = eval_local(basis, x)
+        ref_span, ref_vals, ref_derivs = _cox_de_boor(basis.knots, degree, x)
+        npt.assert_array_equal(span, ref_span)
+        npt.assert_allclose(vals, ref_vals, atol=1e-13, rtol=0.0)
+        npt.assert_allclose(derivs, ref_derivs, atol=1e-12 * np.abs(ref_derivs).max(), rtol=0.0)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])

@@ -4,6 +4,7 @@ Covers every subcommand, the documented exit codes, and the rule that a
 config file overrides command-line flags.
 """
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -162,6 +163,8 @@ class TestTrain:
         max_size=3))
     @example(doc={"grid": "abc"})
     @example(doc={"grid": 2.5})
+    @example(doc={"lr": float("nan")})
+    @example(doc={"lr": float("inf")})
     def test_config_values_end_in_documented_exit_code(self, traj_csv, tmp_path, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -173,6 +176,8 @@ class TestTrain:
             rc = exc.code
         assert rc in DOCUMENTED_EXIT_CODES
         if "grid" in doc and not isinstance(doc["grid"], int):
+            assert rc == cli.EXIT_USAGE
+        if isinstance(doc.get("lr"), float) and not math.isfinite(doc["lr"]):
             assert rc == cli.EXIT_USAGE
 
     def test_malformed_config_rejected(self, traj_csv, tmp_path):
