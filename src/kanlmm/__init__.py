@@ -20,9 +20,8 @@ from .kan import (BatchEvaluator, KanNetwork, ModelFormatError, ModelVersionErro
 from .training import (ResidualStencil, TrainConfig, TrainReport,
                        TrainingDivergedError, train)
 from .analysis import (BoundsReport, HolderSpec, bounds_report, fit_log_linear,
-                       gronwall_envelope, gronwall_study, l2_seminorm,
-                       lipschitz_estimate, upper_bound, upper_bound_unit_box,
-                       vc_lower_bound_shape)
+                       gronwall_study, l2_seminorm, lipschitz_estimate,
+                       upper_bound, upper_bound_unit_box, vc_lower_bound_shape)
 from .systems import (SystemDef, glycolytic_system, linear_system,
                       opinion_component_count, opinion_system)
 

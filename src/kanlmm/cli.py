@@ -280,7 +280,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--lipschitz", type=float, default=1.0)
-    p.add_argument("--model", default=None, help="estimate the Lipschitz constant from this model")
+    p.add_argument("--model", default=None, help="bound the Lipschitz constant from this model")
     p.add_argument("--out", default=None, help="also write the report as JSON")
 
     p = add("experiment", cmd_experiment, "run a benchmark experiment protocol")

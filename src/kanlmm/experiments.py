@@ -1,18 +1,19 @@
 """Benchmark experiment protocols.
 
-Each runner produces plot-ready CSV tables plus a JSON summary in an
-output directory and returns the summary dict.  Every runner takes a
-``quick`` flag: quick scale keeps runtimes at desk level (coarser grids,
-fewer iterations) for CI, while full scale runs the reference protocol
-(k=3, G=64, h=1e-3, thousands of iterations) and can take hours for the
-large systems.  Cells of the scheme/parameter sweeps are
-independent; set KANLMM_THREADS to run them concurrently.
+Each protocol writes plot-ready CSV tables plus a JSON summary to an
+output directory.  ``run`` does the steps they share: it creates the
+directory, calls the protocol's runner, tags the summary with the
+experiment name and scale, writes ``summary.json`` and returns the
+summary dict.  A runner holds only its protocol and its own CSV tables,
+and runs its cells one after another, in the order it lists them.
+Quick scale keeps runtimes at desk level (coarser grids, fewer
+iterations) for CI, while full scale runs the reference protocol (k=3,
+G=64, h=1e-3, thousands of iterations) and can take hours for the large
+systems.
 """
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,24 +21,6 @@ import numpy as np
 from . import analysis, discovery, kan, lmm, odeint, systems, training
 
 EXPERIMENT_NAMES = ("scheme-sweep", "kg-sweep", "gronwall", "glycolytic", "opinion")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KANLMM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"KANLMM_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _map_cells(fn, cells):
-    """Run independent cells, optionally on a thread pool, in stable order."""
-    n = _thread_count()
-    if n == 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, cells))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -53,47 +36,38 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def run_scheme_sweep(out_dir, quick: bool = True, seed: int = 0) -> dict:
+def _scheme_sweep(out: Path, quick: bool, seed: int) -> dict:
     """Field-recovery error for every scheme family and step count.
 
     Trains one network per (family, M) cell on the linear-system
     trajectory and records the windowed RMS gap to the true field.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_def = systems.linear_system()
     h = 5e-3 if quick else 1e-3
     iters = 400 if quick else 2200
     g = 16 if quick else 64
     traj = odeint.integrate(sys_def.field, sys_def.x0, *sys_def.t_train, h)
-    cells = [(fam, m) for fam in lmm.FAMILIES for m in range(1, lmm.MAX_STEPS + 1)]
-
-    def run_cell(cell):
-        fam, m = cell
-        config = training.TrainConfig(family=fam, steps=m, degree=3, intervals=g,
-                                      iterations=iters, seed=seed)
-        _, report = training.train(config, traj, true_field=sys_def.field)
-        return {"family": fam, "steps": m,
-                "seminorm_error": report.seminorm_error,
-                "best_loss": report.best_loss}
-
-    results = _map_cells(run_cell, cells)
+    results = []
+    for fam in lmm.FAMILIES:
+        for m in range(1, lmm.MAX_STEPS + 1):
+            config = training.TrainConfig(family=fam, steps=m, degree=3, intervals=g,
+                                          iterations=iters, seed=seed)
+            _, report = training.train(config, traj, true_field=sys_def.field)
+            results.append({"family": fam, "steps": m,
+                            "seminorm_error": report.seminorm_error,
+                            "best_loss": report.best_loss})
     _write_rows(out / "scheme_sweep.csv",
                 ["family", "steps", "seminorm_error", "best_loss"],
                 [(r["family"], r["steps"], r["seminorm_error"], r["best_loss"]) for r in results])
-    summary = {
-        "experiment": "scheme-sweep",
-        "quick": quick,
+    return {
         "h": h,
         "iterations": iters,
         "intervals": g,
         "cells": results,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_kg_sweep(out_dir, quick: bool = True, seed: int = 0) -> dict:
+def _kg_sweep(out: Path, quick: bool, seed: int) -> dict:
     """Error as a function of spline degree k and interval count G (AM-1).
 
     Also evaluates the conditioning and bound calculators per cell and
@@ -101,8 +75,6 @@ def run_kg_sweep(out_dir, quick: bool = True, seed: int = 0) -> dict:
     measured <= C * kappa2 * (h^p + upper_bound) hold across the sweep;
     C is reported, not asserted, since the theory leaves it unspecified.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_def = systems.linear_system()
     h = 5e-3 if quick else 1e-3
     iters = 300 if quick else 2200
@@ -111,20 +83,18 @@ def run_kg_sweep(out_dir, quick: bool = True, seed: int = 0) -> dict:
     traj = odeint.integrate(sys_def.field, sys_def.x0, *sys_def.t_train, h)
     scheme = lmm.scheme("am", 1)
     kappa = discovery.condition_number(discovery.assemble(scheme, traj, 0))
-
-    def run_cell(cell):
-        k, g = cell
-        config = training.TrainConfig(family="am", steps=1, degree=k, intervals=g,
-                                      iterations=iters, seed=seed)
-        net, report = training.train(config, traj, true_field=sys_def.field)
-        lip = analysis.lipschitz_estimate(net)
-        radius = float(np.max(net.input_hi - net.input_lo) / 2.0)
-        holder = analysis.HolderSpec(alpha=1.0, lam=1.0, radius=radius)
-        bound = analysis.upper_bound(holder, k, g, net.hidden, net.d_in, lip)
-        return {"k": k, "G": g, "seminorm_error": report.seminorm_error,
-                "upper_bound": bound, "lipschitz": lip}
-
-    results = _map_cells(run_cell, [(k, g) for k in ks for g in gs])
+    results = []
+    for k in ks:
+        for g in gs:
+            config = training.TrainConfig(family="am", steps=1, degree=k, intervals=g,
+                                          iterations=iters, seed=seed)
+            net, report = training.train(config, traj, true_field=sys_def.field)
+            lip = analysis.lipschitz_estimate(net)
+            radius = float(np.max(net.input_hi - net.input_lo) / 2.0)
+            holder = analysis.HolderSpec(alpha=1.0, lam=1.0, radius=radius)
+            bound = analysis.upper_bound(holder, k, g, net.hidden, net.d_in, lip)
+            results.append({"k": k, "G": g, "seminorm_error": report.seminorm_error,
+                            "upper_bound": bound, "lipschitz": lip})
     envelope = [r["seminorm_error"] / (kappa * (h ** scheme.order + r["upper_bound"]))
                 for r in results]
     fitted_c = float(max(envelope))
@@ -138,9 +108,7 @@ def run_kg_sweep(out_dir, quick: bool = True, seed: int = 0) -> dict:
                 ["k", "G", "seminorm_error", "upper_bound", "lipschitz"],
                 [(r["k"], r["G"], r["seminorm_error"], r["upper_bound"], r["lipschitz"])
                  for r in results])
-    summary = {
-        "experiment": "kg-sweep",
-        "quick": quick,
+    return {
         "h": h,
         "iterations": iters,
         "kappa2": kappa,
@@ -148,14 +116,10 @@ def run_kg_sweep(out_dir, quick: bool = True, seed: int = 0) -> dict:
         "rate_vs_inverse_G_per_k": slopes,
         "cells": results,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_gronwall(out_dir, quick: bool = True, seed: int = 0) -> dict:
+def _gronwall(out: Path, quick: bool, seed: int) -> dict:
     """Trained-model trajectory error versus prediction horizon T = 1..10."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_def = systems.linear_system()
     h = 2e-3 if quick else 1e-3
     iters = 800 if quick else 2200
@@ -168,9 +132,7 @@ def run_gronwall(out_dir, quick: bool = True, seed: int = 0) -> dict:
     table = analysis.gronwall_study(net, sys_def.field, sys_def.x0, horizons)
     slope, corr = analysis.fit_log_linear([t for t, _ in table], [e for _, e in table])
     _write_rows(out / "gronwall.csv", ["T", "linf_error"], table)
-    summary = {
-        "experiment": "gronwall",
-        "quick": quick,
+    return {
         "h": h,
         "iterations": iters,
         "seminorm_error": report.seminorm_error,
@@ -178,14 +140,10 @@ def run_gronwall(out_dir, quick: bool = True, seed: int = 0) -> dict:
         "log_error_correlation": corr,
         "table": [{"T": t, "linf_error": e} for t, e in table],
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_glycolytic(out_dir, quick: bool = True, seed: int = 0) -> dict:
+def _glycolytic(out: Path, quick: bool, seed: int) -> dict:
     """Train on the oscillator over [0, 10] and predict beyond it."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_def = systems.glycolytic_system()
     h = 1e-2 if quick else 1e-3
     iters = 400 if quick else 2200
@@ -204,9 +162,7 @@ def run_glycolytic(out_dir, quick: bool = True, seed: int = 0) -> dict:
     odeint.save_trajectory(learned, out / "learned.csv")
     n_train = traj.n_steps
     gap = np.max(np.abs(learned.states - reference_long.states), axis=1)
-    summary = {
-        "experiment": "glycolytic",
-        "quick": quick,
+    return {
         "h": h,
         "iterations": iters,
         "intervals": g,
@@ -215,19 +171,15 @@ def run_glycolytic(out_dir, quick: bool = True, seed: int = 0) -> dict:
         "linf_error_full_interval": float(gap.max()),
         "min_state_train_interval": float(traj.states.min()),
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_opinion(out_dir, quick: bool = True, seed: int = 0) -> dict:
+def _opinion(out: Path, quick: bool, seed: int) -> dict:
     """High-dimensional opinion model: per-dimension trajectory errors.
 
     Quick scale trains the 50-agent instance on a short interval; full
     scale runs d in {50, 100, 200, 400} over [0, 10] with 3000
     iterations, which is a long sequential run at numpy speed.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dims = (50,) if quick else (50, 100, 200, 400)
     h = 1e-2 if quick else 1e-3
     t_end = 2.0 if quick else 10.0
@@ -250,34 +202,40 @@ def run_opinion(out_dir, quick: bool = True, seed: int = 0) -> dict:
     _write_rows(out / "opinion.csv",
                 ["d", "linf_error", "seminorm_error"],
                 [(r["d"], r["linf_error"], r["seminorm_error"]) for r in rows])
-    summary = {
-        "experiment": "opinion",
-        "quick": quick,
+    return {
         "h": h,
         "t_end": t_end,
         "iterations": iters,
         "intervals": g,
         "cells": rows,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 _RUNNERS = {
-    "scheme-sweep": run_scheme_sweep,
-    "kg-sweep": run_kg_sweep,
-    "gronwall": run_gronwall,
-    "glycolytic": run_glycolytic,
-    "opinion": run_opinion,
+    "scheme-sweep": _scheme_sweep,
+    "kg-sweep": _kg_sweep,
+    "gronwall": _gronwall,
+    "glycolytic": _glycolytic,
+    "opinion": _opinion,
 }
 
 
 def run(name: str, out_dir, quick: bool = True, seed: int = 0) -> dict:
-    """Dispatch an experiment by name; see EXPERIMENT_NAMES."""
+    """Run an experiment by name (see EXPERIMENT_NAMES); returns its summary.
+
+    Creates ``out_dir``, lets the runner write its tables there, and
+    writes the summary, tagged with ``experiment`` and ``quick``, to
+    ``out_dir/summary.json``.
+    """
     try:
         runner = _RUNNERS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}, expected one of {sorted(_RUNNERS)}"
         ) from None
-    return runner(out_dir, quick=quick, seed=seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary = runner(out, quick, seed)
+    summary.update(experiment=name, quick=quick)
+    _write_json(out / "summary.json", summary)
+    return summary

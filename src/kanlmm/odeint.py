@@ -17,6 +17,8 @@ from scipy.integrate import solve_ivp
 
 Array = npt.NDArray[np.float64]
 
+TOLERANCE = 1e-13  # DOP853 rtol and atol of every integration
+
 
 class IntegrationError(RuntimeError):
     """Reference or model integration failed."""
@@ -88,7 +90,6 @@ def grid_size(t0: float, t1: float, h: float) -> int:
 
 
 def integrate(field, x0, t0: float, t1: float, h: float,
-              rtol: float = 1e-13, atol: float = 1e-13,
               max_step: float | None = None,
               provenance: str = "reference") -> Trajectory:
     """Integrate dx/dt = field(x) and sample on the uniform grid of step h.
@@ -98,13 +99,12 @@ def integrate(field, x0, t0: float, t1: float, h: float,
     """
     n1 = grid_size(t0, t1, h)
     times = t0 + h * np.arange(n1 + 1)
-    states = integrate_at(field, x0, t0, t1, times, rtol, atol, max_step)
+    states = integrate_at(field, x0, t0, t1, times, max_step)
     return Trajectory(t0=float(t0), t1=float(t0 + n1 * h), h=float(h),
                       states=states, provenance=provenance)
 
 
 def integrate_at(field, x0, t0: float, t1: float, times,
-                 rtol: float = 1e-13, atol: float = 1e-13,
                  max_step: float | None = None) -> Array:
     """Integrate dx/dt = field(x) over [t0, t1]; the states at ``times``.
 
@@ -120,7 +120,7 @@ def integrate_at(field, x0, t0: float, t1: float, times,
     def rhs(_t, y):
         return field(y)
 
-    kwargs = dict(method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+    kwargs = dict(method="DOP853", rtol=TOLERANCE, atol=TOLERANCE, dense_output=True)
     if max_step is not None:
         kwargs["max_step"] = max_step
     sol = solve_ivp(rhs, (t0, t1), x0, **kwargs)

@@ -7,7 +7,6 @@ the Lipschitz estimate against observed difference quotients.
 import math
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from kanlmm import analysis, kan
@@ -149,13 +148,16 @@ class TestLipschitzEstimate:
         quot = np.linalg.norm(fx - fy, axis=1) / np.linalg.norm(x - y, axis=1)
         assert np.max(quot) <= est * (1 + 1e-9)
 
-
-def test_gronwall_envelope_formula():
-    t = np.array([0.0, 1.0, 2.0])
-    npt.assert_allclose(analysis.gronwall_envelope(1.0, 0.0, 0.0, t), [1.0, 1.0, 1.0])
-    got = analysis.gronwall_envelope(0.5, 0.1, 2.0, t)
-    expected = (0.5 + 0.1 * t) * np.exp(2.0 * t)
-    npt.assert_allclose(got, expected, rtol=1e-15)
+    def test_bounds_euclidean_quotient_of_equal_outputs(self):
+        # two equal outputs make ||dy||_2 = sqrt(2) |dy_0|, which a bound
+        # on the max-norm quotient misses; the starting network is affine,
+        # so the Euclidean bound is attained up to rounding
+        net = kan.init_network(1, 2, hidden=1, intervals=4, seed=0)
+        net.outer_coeffs[1] = net.outer_coeffs[0]
+        x = np.linspace(0.0, 1.0, 2001)[:, None]
+        y = kan.forward(net, x)
+        quot = np.linalg.norm(np.diff(y, axis=0), axis=1) / np.diff(x[:, 0])
+        assert np.max(quot) <= analysis.lipschitz_estimate(net) * (1 + 1e-9)
 
 
 class TestGronwallStudy:

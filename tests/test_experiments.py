@@ -1,8 +1,8 @@
 """Experiment-runner smoke tests at quick scale.
 
 Only the two cheapest runners execute end to end here; the other three
-share all their plumbing (cell mapping, CSV/JSON writers, train calls)
-with these and with the CLI tests.
+share all their plumbing (``run``'s directory and summary steps, the
+CSV writer, train calls) with these and with the CLI tests.
 """
 import json
 
@@ -21,19 +21,17 @@ def test_experiment_names_match_runners():
     assert set(experiments.EXPERIMENT_NAMES) == set(experiments._RUNNERS)
 
 
-class TestThreadControl:
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("KANLMM_THREADS", "many")
-        with pytest.raises(ValueError, match="KANLMM_THREADS"):
-            experiments._map_cells(lambda c: c, [1, 2, 3])
+def test_run_writes_tagged_summary(tmp_path, monkeypatch):
+    def toy(out, quick, seed):
+        (out / "toy.csv").write_text("seed\n%d\n" % seed)
+        return {"seed": seed}
 
-    def test_pool_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("KANLMM_THREADS", "3")
-        assert experiments._map_cells(lambda c: c * c, [3, 1, 2]) == [9, 1, 4]
-
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("KANLMM_THREADS", raising=False)
-        assert experiments._map_cells(lambda c: -c, [1, 2]) == [-1, -2]
+    monkeypatch.setitem(experiments._RUNNERS, "toy", toy)
+    out = tmp_path / "a" / "b"
+    summary = experiments.run("toy", out, quick=False, seed=7)
+    assert out.is_dir() and (out / "toy.csv").read_text() == "seed\n7\n"
+    assert json.loads((out / "summary.json").read_text()) == summary
+    assert summary == {"seed": 7, "experiment": "toy", "quick": False}
 
 
 @pytest.mark.slow
