@@ -142,6 +142,11 @@ def eval_local(basis: BSplineBasis, x: Array) -> tuple[Array, Array, Array]:
     rows = basis.power[piece[edge]]
     vals[edge] = np.einsum("jn,njr->nr", powers.take(edge, axis=1), rows)
     derivs[edge] = np.einsum("jn,njr->nr", slopes.take(edge, axis=1), rows[:, 1:])
+    # At the top knot only the last function is nonzero, and it is 1; the
+    # power form leaves rounding there that can put a value below zero.
+    top = np.flatnonzero(x >= basis.hi)
+    vals[top] = 0.0
+    vals[top, k] = 1.0
     return span, vals, derivs
 
 

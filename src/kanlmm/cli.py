@@ -134,7 +134,12 @@ def cmd_train(args) -> int:
         hidden=args.hidden, learning_rate=args.lr, iterations=args.iters,
         seed=args.seed, loss_kind=args.loss,
     )
-    true_field = _system_from_args(args).field if args.system else None
+    true_field = None
+    if args.system:
+        sys_def = _system_from_args(args)
+        if sys_def.dim != traj.dim:
+            raise ValueError(f"system dimension {sys_def.dim} != trajectory dim {traj.dim}")
+        true_field = sys_def.field
     net, report = training.train(config, traj, true_field=true_field)
     kan.save_model(net, args.out)
     doc = {

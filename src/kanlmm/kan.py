@@ -117,11 +117,17 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     sum from sweeping across many outer-grid intervals between successive
     samples, which would alias the outer splines along the trajectory.
 
-    The hidden range is set by pushing the input-box corners (all 2^d_in
-    when d_in <= 10, else 1024 random sign corners) plus 1024 uniform
-    samples through the inner layer and padding the observed span by 10%
-    on each side.  Draw order is fixed (inner end values, calibration
-    points, outer end values) so a seed pins down the whole network.
+    The hidden range is the span of the hidden sums over the input-box
+    corners (all 2^d_in when d_in <= 10, else 1024 random sign corners)
+    plus 1024 uniform samples, padded by 10% on each side.  The basis is a
+    partition of unity that reproduces x from its Greville abscissae, so
+    an inner edge with end values (e0, e1) is exactly the line
+    (1 - x) e0 + x e1, and the sums come in closed form from one dense
+    product, z = sum_i (1 - xhat_i) e0[:, i] + xhat_i e1[:, i], with no
+    basis evaluation.  At a corner each edge contributes exactly its end
+    value, as the spline itself does there.  Draw order is fixed (inner
+    end values, calibration points, outer end values) so a seed pins down
+    the whole network.
     """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
@@ -142,11 +148,12 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     xi = greville_abscissae(basis)
     rng = np.random.default_rng(seed)
 
-    def affine_edges(bound: float, shape: tuple) -> Array:
+    def affine_edges(bound: float, shape: tuple) -> tuple[Array, Array]:
+        """Coefficients of random lines, and their end values (*shape, 2)."""
         ends = rng.uniform(-bound, bound, size=(*shape, 2))
-        return ends[..., :1] * (1.0 - xi) + ends[..., 1:] * xi
+        return ends[..., :1] * (1.0 - xi) + ends[..., 1:] * xi, ends
 
-    inner = affine_edges(np.sqrt(6.0 / (d_in + d_out)), (hidden, d_in))
+    inner, ends = affine_edges(np.sqrt(6.0 / (d_in + d_out)), (hidden, d_in))
 
     if d_in <= CORNER_ENUM_LIMIT:
         bits = ((np.arange(2 ** d_in)[:, None] >> np.arange(d_in)) & 1).astype(np.float64)
@@ -156,7 +163,9 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     interior = rng.uniform(lo, hi, size=(CALIBRATION_SAMPLES, d_in))
     probe = np.vstack([corners, interior])
     xhat = np.clip((probe - lo) / (hi - lo), 0.0, 1.0)
-    z = _basis_matrix(basis, xhat)[0] @ inner.reshape(hidden, -1).T
+    # weights (n, d_in * 2) interleave 1 - xhat and xhat as ends holds e0, e1
+    weights = np.stack([1.0 - xhat, xhat], axis=-1).reshape(len(xhat), -1)
+    z = weights @ ends.reshape(hidden, -1).T
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo
     if span < 1e-12:
@@ -164,7 +173,7 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     hidden_lo = z_lo - 0.1 * span
     hidden_hi = z_hi + 0.1 * span
 
-    outer = affine_edges(np.sqrt(6.0 / hidden), (d_out, hidden))
+    outer, _ = affine_edges(np.sqrt(6.0 / hidden), (d_out, hidden))
 
     return KanNetwork(
         inner_basis=basis, outer_basis=basis,
@@ -199,7 +208,10 @@ class BatchEvaluator:
 
     The inner basis matrix depends only on the samples, so it is built
     once and reused across every training iteration; only the outer basis
-    matrix must be rebuilt when coefficients move.
+    matrix must be rebuilt when coefficients move.  The products read each
+    layer's coefficients as ``coeffs.reshape(outputs, -1).T``; for arrays
+    stored basis-major, as ``training.train`` keeps them, that is a
+    C-contiguous view and nothing is copied.
     """
 
     def __init__(self, net: KanNetwork, x: Array):

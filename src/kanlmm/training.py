@@ -217,16 +217,22 @@ def train(config: TrainConfig, traj: Trajectory,
     )
     evaluator = BatchEvaluator(net, traj.states)
     n_inner = net.inner_coeffs.size
-    inner_shape, outer_shape = net.inner_coeffs.shape, net.outer_coeffs.shape
-    params = kan.get_params(net)
+    (hidden, d_in, size_in), (d_out, _, size_out) = net.inner_coeffs.shape, net.outer_coeffs.shape
 
+    # Flat buffers hold each layer basis-major, as the evaluator's sparse
+    # products read and write it: inner (d_in * size, hidden), then outer
+    # (hidden * size, d_out).  split() returns views of the public shapes,
+    # whose transposes are C-contiguous, so neither forward nor the
+    # gradient copy reorders memory.  Adam is elementwise, so its result
+    # does not depend on the order.
     def split(p: Array) -> tuple[Array, Array]:
-        return p[:n_inner].reshape(inner_shape), p[n_inner:].reshape(outer_shape)
+        inner = p[:n_inner].reshape(d_in * size_in, hidden).T.reshape(hidden, d_in, size_in)
+        outer = p[n_inner:].reshape(hidden * size_out, d_out).T.reshape(d_out, hidden, size_out)
+        return inner, outer
 
-    def evaluate(p: Array) -> tuple[float, Array]:
-        inner, outer = split(p)
-        u = evaluator.forward(inner, outer)
-        return stencil.loss_and_grad(u)[0], u
+    params = np.empty(net.n_params)
+    inner, outer = split(params)  # views: params is updated in place
+    inner[...], outer[...] = net.inner_coeffs, net.outer_coeffs
 
     lr = config.learning_rate
     lr_inner = lr * ((net.hidden_hi - net.hidden_lo) / (net.outer_basis.intervals * net.d_in))
@@ -234,7 +240,6 @@ def train(config: TrainConfig, traj: Trajectory,
               for start, end, step in ((0, n_inner, lr_inner), (n_inner, params.size, lr))
               for lo in range(start, end, ADAM_BLOCK)]
 
-    inner, outer = split(params)  # views: params is updated in place
     m_state = np.zeros_like(params)
     v_state = np.zeros_like(params)
     grad = np.empty_like(params)
@@ -245,16 +250,20 @@ def train(config: TrainConfig, traj: Trajectory,
     best_params = params.copy()
     best_iteration = 0
 
-    for it in range(config.iterations):
+    # The last pass only evaluates the final iterate.
+    for it in range(config.iterations + 1):
         u = evaluator.forward(inner, outer)
         loss, grad_u = stencil.loss_and_grad(u)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise TrainingDivergedError(it, loss)
-        trace[it] = loss
         if loss < best_loss:
             best_loss = loss
             np.copyto(best_params, params)
+            best_u = u
             best_iteration = it
+        if it == config.iterations:
+            break
+        trace[it] = loss
         grad_inner[...], grad_outer[...] = evaluator.backward(outer, grad_u)
         t = it + 1
         c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
@@ -262,16 +271,11 @@ def train(config: TrainConfig, traj: Trajectory,
             n = sl.stop - sl.start
             _adam_block(params[sl], m_state[sl], v_state[sl], grad[sl], step, c1, c2,
                         config, scratch[0, :n], scratch[1, :n])
+    final_loss = loss
 
-    final_loss, _ = evaluate(params)
-    if not np.isfinite(final_loss) or final_loss > DIVERGENCE_LIMIT:
-        raise TrainingDivergedError(config.iterations, final_loss)
-    if final_loss < best_loss:
-        best_loss = final_loss
-        np.copyto(best_params, params)
-        best_iteration = config.iterations
-
-    kan.set_params(net, best_params)
+    best_inner, best_outer = split(best_params)
+    net.inner_coeffs = np.ascontiguousarray(best_inner)
+    net.outer_coeffs = np.ascontiguousarray(best_outer)
     report = TrainReport(
         loss_trace=trace,
         final_loss=final_loss,
@@ -282,11 +286,10 @@ def train(config: TrainConfig, traj: Trajectory,
         config=asdict(config),
     )
     if true_field is not None:
-        _, u_best = evaluate(best_params)
         w = stencil.window
         sl = slice(w.r, w.q + 1)
         fvals = np.apply_along_axis(true_field, 1, traj.states)
-        err = u_best[sl] - fvals[sl]
+        err = best_u[sl] - fvals[sl]
         report.seminorm_error = l2_seminorm(np.linalg.norm(err, axis=1))
         report.seminorm_error_components = [l2_seminorm(err[:, c]) for c in range(err.shape[1])]
     return net, report

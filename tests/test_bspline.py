@@ -90,6 +90,17 @@ def test_derivative_matches_scipy(degree):
     npt.assert_allclose(ours[:-1], ref[:-1], atol=2e-11, rtol=0.0)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_top_knot_values_are_exact(degree):
+    # the clamped spline ends on its last coefficient: only the last
+    # function is nonzero at the top knot, and it is exactly 1
+    expected = np.zeros(degree + 1)
+    expected[-1] = 1.0
+    for intervals in range(1, 41):
+        _, vals, _ = eval_local(make_basis(degree, intervals), np.array([1.0]))
+        npt.assert_array_equal(vals[0], expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     degree=st.integers(min_value=1, max_value=5),

@@ -180,6 +180,28 @@ class TestTrain:
         if isinstance(doc.get("lr"), float) and not math.isfinite(doc["lr"]):
             assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("system, data", [
+        (["--system", "opinion", "--dim", "7"], "linear"),
+        (["--system", "glycolytic"], "linear"),
+        (["--system", "linear"], "glycolytic"),
+    ], ids=["opinion7-on-linear", "glycolytic-on-linear", "linear-on-glycolytic"])
+    def test_system_dimension_must_match_data(self, traj_csv, tmp_path, capsys,
+                                              system, data):
+        if data == "glycolytic":
+            traj_csv = tmp_path / "glycolytic.csv"
+            assert run_cli("gen", "--system", "glycolytic", "--t1", "0.5", "--h", "0.05",
+                           "--out", str(traj_csv)) == 0
+        data_dim = odeint.load_trajectory(traj_csv).dim
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        rc = run_cli("train", "--data", str(traj_csv), *TRAIN_QUICK, *system,
+                     "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"trajectory dim {data_dim}" in err
+        assert not out.exists()
+
     def test_malformed_config_rejected(self, traj_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -184,6 +184,28 @@ class TestInit:
         frac_inside = np.mean((z >= net.hidden_lo) & (z <= net.hidden_hi))
         assert frac_inside > 0.99
 
+    @pytest.mark.parametrize("d_in", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("intervals", [1, 4, 16])
+    def test_hidden_range_is_padded_corner_span(self, d_in, degree, intervals):
+        bits = (np.arange(2 ** d_in)[:, None] >> np.arange(d_in)) & 1
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            lo = rng.uniform(-2.0, 1.0, d_in)
+            hi = lo + rng.uniform(0.5, 3.0, d_in)
+            net = kan.init_network(d_in, hidden=5, degree=degree, intervals=intervals,
+                                   input_range=np.column_stack([lo, hi]), seed=seed)
+            corners = np.where(bits == 1, hi, lo)
+            z = kan.BatchEvaluator(net, corners).hidden_sums(net.inner_coeffs)
+            span = z.max() - z.min()
+            # the hidden sums are affine, so they reach their extremes at the corners
+            t = rng.uniform(size=(50, d_in))
+            inside = kan.BatchEvaluator(net, lo + t * (hi - lo)).hidden_sums(net.inner_coeffs)
+            npt.assert_allclose(inside, z[0] + t @ (z[2 ** np.arange(d_in)] - z[0]),
+                                rtol=0, atol=1e-12 * span)
+            assert net.hidden_lo == pytest.approx(z.min() - 0.1 * span, abs=1e-12 * span)
+            assert net.hidden_hi == pytest.approx(z.max() + 0.1 * span, abs=1e-12 * span)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kan.init_network(0)
@@ -334,6 +356,28 @@ class TestBatchEvaluator:
         ev = kan.BatchEvaluator(net, np.zeros((2, 1)))
         with pytest.raises(RuntimeError):
             ev.backward(net.outer_coeffs, np.ones((2, 1)))
+
+    def test_basis_major_views_give_identical_bits(self):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, 3, 2, 4, 3, 6)
+        net.inner_coeffs = rng.normal(size=net.inner_coeffs.shape)
+        net.outer_coeffs = rng.normal(size=net.outer_coeffs.shape)
+        x = rng.uniform(-2.5, 0.5, size=(40, 3))
+        upstream = rng.normal(size=(40, 2))
+
+        def basis_major(coeffs):  # as training stores them: (rest, leading axis) in C order
+            flat = np.ascontiguousarray(coeffs.reshape(coeffs.shape[0], -1).T)
+            view = flat.T.reshape(coeffs.shape)
+            assert not view.flags.c_contiguous and np.shares_memory(view, flat)
+            return view
+
+        passes = []
+        for inner, outer in ((net.inner_coeffs, net.outer_coeffs),
+                             (basis_major(net.inner_coeffs), basis_major(net.outer_coeffs))):
+            ev = kan.BatchEvaluator(net, x)
+            passes.append((ev.forward(inner, outer), *ev.backward(outer, upstream)))
+        for c_order, bm in zip(*passes):
+            npt.assert_array_equal(bm, c_order)
 
     def test_gradient_rejects_nonfinite_upstream(self):
         net = kan.init_network(1, 1, hidden=1, seed=0)

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from kanlmm import discovery, kan, lmm, systems, training
+from kanlmm.analysis import l2_seminorm
 from kanlmm.odeint import Trajectory
 
 
@@ -216,6 +217,22 @@ class TestTrain:
             params = params - step * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         npt.assert_array_equal(rep.loss_trace, trace)
         npt.assert_array_equal(kan.get_params(net), params)
+
+    @pytest.mark.parametrize("lr", [0.05, 3.0])
+    def test_report_uses_outputs_of_returned_network(self, lr):
+        traj = linear_trajectory(0.02)
+        sysd = systems.linear_system()
+        net, rep = training.train(tiny_config(learning_rate=lr, iterations=12), traj,
+                                  true_field=sysd.field)
+        assert net.inner_coeffs.flags.c_contiguous and net.outer_coeffs.flags.c_contiguous
+        # overshooting steps leave the best iterate before the last
+        assert (rep.best_iteration < 12) == (lr > 1.0)
+        w = lmm.index_window(lmm.scheme("am", 1), traj.n_steps)
+        sl = slice(w.r, w.q + 1)
+        err = kan.forward(net, traj.states)[sl] - np.apply_along_axis(sysd.field, 1,
+                                                                       traj.states)[sl]
+        assert rep.seminorm_error == l2_seminorm(np.linalg.norm(err, axis=1))
+        assert rep.seminorm_error_components == [l2_seminorm(err[:, c]) for c in range(2)]
 
     def test_zero_iterations_returns_initialization(self):
         traj = linear_trajectory(0.02)
