@@ -159,7 +159,8 @@ def _edge_slopes(basis, coeffs: Array) -> Array:
     """Hull bound on |s'| over the basis domain; basis index last in ``coeffs``."""
     k, t, n = basis.degree, basis.knots, basis.size
     scale = k / (t[k + 1 : n + k] - t[1:n])
-    return np.max(np.abs(np.diff(coeffs, axis=-1)) * scale, axis=-1)
+    # in C order, so the sums over it round alike for every memory order of coeffs
+    return np.ascontiguousarray(np.max(np.abs(np.diff(coeffs, axis=-1)) * scale, axis=-1))
 
 
 def lipschitz_estimate(net: KanNetwork) -> float:

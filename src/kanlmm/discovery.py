@@ -59,11 +59,6 @@ class GridSystem:
     def tau(self) -> int:
         return self.window.tau
 
-    @property
-    def rhs(self) -> Array:
-        """Stacked right-hand side, auxiliary rows first."""
-        return np.concatenate([self.aux_rhs, self.lmm_rhs])
-
     def matrix(self) -> sparse.csr_array:
         """A_h = [C; B_h] as a sparse (tau, tau) band."""
         rows = self.lmm_rhs.shape[0]
@@ -72,15 +67,6 @@ class GridSystem:
                                        shape=(rows, self.tau))
         aux_block = sparse.eye_array(self.window.aux_count, self.tau)
         return sparse.vstack([aux_block, lmm_block], format="csr")
-
-    def dense_matrix(self) -> Array:
-        """A_h as a dense (tau, tau) array; small systems only."""
-        if self.tau > DENSE_LIMIT:
-            raise ValueError(
-                f"dense assembly disabled for tau={self.tau} > {DENSE_LIMIT}; "
-                "use the banded solve or condition_number directly"
-            )
-        return self.matrix().toarray()
 
 
 def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:

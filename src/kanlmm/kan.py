@@ -13,11 +13,14 @@ clamped, extending the splines as constants.
 
 All learnable state lives in two dense coefficient arrays:
 
-    inner_coeffs (hidden, d_in, inner_size)   hidden-major, then input, then basis
-    outer_coeffs (d_out, hidden, outer_size)  output-major, then hidden, then basis
+    inner_coeffs (hidden, d_in, inner_size)   hidden unit, then input, then basis
+    outer_coeffs (d_out, hidden, outer_size)  output, then hidden unit, then basis
 
-The flat parameter vector is inner_coeffs.ravel() followed by
-outer_coeffs.ravel(), both in C order.
+Each is stored output-minor: a view of a C-order (inputs * size, outputs)
+array, as the sparse basis products read and write it.  ``flat_view``
+gives that memory as one vector, so training updates a network in place;
+no other module knows the order.  The flat parameter vector is still
+inner_coeffs.ravel() followed by outer_coeffs.ravel(), in C order.
 """
 from __future__ import annotations
 
@@ -62,8 +65,8 @@ class KanNetwork:
     def __post_init__(self):
         self.input_lo = np.asarray(self.input_lo, dtype=np.float64)
         self.input_hi = np.asarray(self.input_hi, dtype=np.float64)
-        self.inner_coeffs = np.asarray(self.inner_coeffs, dtype=np.float64)
-        self.outer_coeffs = np.asarray(self.outer_coeffs, dtype=np.float64)
+        self.inner_coeffs = _output_minor(self.inner_coeffs)
+        self.outer_coeffs = _output_minor(self.outer_coeffs)
         hidden, d_in, p_in = self.inner_coeffs.shape
         d_out, hidden2, p_out = self.outer_coeffs.shape
         if hidden2 != hidden:
@@ -72,6 +75,10 @@ class KanNetwork:
             raise ValueError("coefficient vectors must match their basis size")
         if self.input_lo.shape != (d_in,) or self.input_hi.shape != (d_in,):
             raise ValueError("input_range must provide one (lo, hi) pair per input")
+        numbers = (self.input_lo, self.input_hi, self.hidden_lo, self.hidden_hi,
+                   self.inner_coeffs, self.outer_coeffs)
+        if not all(np.all(np.isfinite(a)) for a in numbers):
+            raise ValueError("coefficients and rescaling ranges must be finite")
         if np.any(self.input_hi <= self.input_lo) or not self.hidden_hi > self.hidden_lo:
             raise ValueError("all rescaling ranges must have positive width")
 
@@ -98,6 +105,23 @@ class KanNetwork:
     @property
     def n_params(self) -> int:
         return self.inner_coeffs.size + self.outer_coeffs.size
+
+
+def _output_minor(coeffs) -> Array:
+    """An output-minor copy of ``coeffs`` (outputs, inputs, size), even of one already so."""
+    return np.asarray(coeffs, dtype=np.float64).transpose(1, 2, 0).copy().transpose(2, 0, 1)
+
+
+def flat_view(coeffs: Array) -> Array:
+    """A one-dimensional view of an output-minor array's memory.
+
+    Network coefficients and the gradients of ``BatchEvaluator.backward``
+    are stored so.  Entry (i * size + q) * outputs + j is ``coeffs[j, i, q]``.
+    """
+    memory = coeffs.transpose(1, 2, 0)
+    if not memory.flags.c_contiguous:
+        raise ValueError("coefficient array is not stored output-minor")
+    return memory.reshape(-1)
 
 
 def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
@@ -210,8 +234,9 @@ class BatchEvaluator:
     once and reused across every training iteration; only the outer basis
     matrix must be rebuilt when coefficients move.  The products read each
     layer's coefficients as ``coeffs.reshape(outputs, -1).T``; for arrays
-    stored basis-major, as ``training.train`` keeps them, that is a
-    C-contiguous view and nothing is copied.
+    stored output-minor, as every network holds them, that is a
+    C-contiguous view and nothing is copied.  ``backward`` returns its
+    gradients output-minor too.
     """
 
     def __init__(self, net: KanNetwork, x: Array):
@@ -290,8 +315,8 @@ def set_params(net: KanNetwork, vec: Array) -> None:
     n_in = net.inner_coeffs.size
     if vec.shape != (net.n_params,):
         raise ValueError(f"expected {net.n_params} parameters, got {vec.shape}")
-    net.inner_coeffs = vec[:n_in].reshape(net.inner_coeffs.shape).copy()
-    net.outer_coeffs = vec[n_in:].reshape(net.outer_coeffs.shape).copy()
+    net.inner_coeffs = _output_minor(vec[:n_in].reshape(net.inner_coeffs.shape))
+    net.outer_coeffs = _output_minor(vec[n_in:].reshape(net.outer_coeffs.shape))
 
 
 def to_document(net: KanNetwork) -> dict:

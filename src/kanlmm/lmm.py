@@ -46,10 +46,6 @@ class LmmScheme:
     order: int
 
     @property
-    def explicit(self) -> bool:
-        return bool(self.beta[0] == 0.0)
-
-    @property
     def beta_support(self) -> tuple[int, int]:
         """(min, max) offsets m with beta_m != 0."""
         nz = np.nonzero(self.beta)[0]
@@ -211,10 +207,7 @@ class IndexWindow:
     [m_min, m_max], the multistep equations for n = steps..n1 involve
     the unknowns f(x_r), ..., f(x_q).  ``aux_count`` is the number of
     one-sided-difference rows needed to square the system, defined as
-    tau - (n1 - steps + 1); the alternative count q - (n1 - steps + 1)
-    obtained by ignoring the left offset r is exposed for reporting and
-    differs from ``aux_count`` by r - 1, so the two coincide exactly
-    when r = 1.
+    tau - (n1 - steps + 1).
     """
 
     n1: int
@@ -227,10 +220,6 @@ class IndexWindow:
     def tau(self) -> int:
         """Number of unknown grid values, q - r + 1."""
         return self.q - self.r + 1
-
-    @property
-    def aux_count_ignoring_offset(self) -> int:
-        return self.q - (self.n1 - self.steps + 1)
 
 
 def index_window(sch: LmmScheme, n1: int) -> IndexWindow:

@@ -201,6 +201,11 @@ def train(config: TrainConfig, traj: Trajectory,
     each hidden sum by at most ``learning_rate`` outer-grid intervals.  When ``true_field``
     is given, the report also carries the windowed root-mean-square gap
     between the learned and true fields at the grid states.
+
+    Adam updates the network's own coefficients in place, through
+    ``kan.flat_view``, and reads each gradient of the backward pass where
+    it lies.  Adam is elementwise, so the memory order (see ``kan``) does
+    not change its bits, and ``kan.get_params`` order is unchanged.
     """
     t_start = time.perf_counter()
     scheme = lmm.scheme(config.family, config.steps)
@@ -216,66 +221,46 @@ def train(config: TrainConfig, traj: Trajectory,
         seed=config.seed,
     )
     evaluator = BatchEvaluator(net, traj.states)
-    n_inner = net.inner_coeffs.size
-    (hidden, d_in, size_in), (d_out, _, size_out) = net.inner_coeffs.shape, net.outer_coeffs.shape
-
-    # Flat buffers hold each layer basis-major, as the evaluator's sparse
-    # products read and write it: inner (d_in * size, hidden), then outer
-    # (hidden * size, d_out).  split() returns views of the public shapes,
-    # whose transposes are C-contiguous, so neither forward nor the
-    # gradient copy reorders memory.  Adam is elementwise, so its result
-    # does not depend on the order.
-    def split(p: Array) -> tuple[Array, Array]:
-        inner = p[:n_inner].reshape(d_in * size_in, hidden).T.reshape(hidden, d_in, size_in)
-        outer = p[n_inner:].reshape(hidden * size_out, d_out).T.reshape(d_out, hidden, size_out)
-        return inner, outer
-
-    params = np.empty(net.n_params)
-    inner, outer = split(params)  # views: params is updated in place
-    inner[...], outer[...] = net.inner_coeffs, net.outer_coeffs
-
+    params = (kan.flat_view(net.inner_coeffs), kan.flat_view(net.outer_coeffs))
     lr = config.learning_rate
-    lr_inner = lr * ((net.hidden_hi - net.hidden_lo) / (net.outer_basis.intervals * net.d_in))
-    blocks = [(slice(lo, min(lo + ADAM_BLOCK, end)), step)
-              for start, end, step in ((0, n_inner, lr_inner), (n_inner, params.size, lr))
-              for lo in range(start, end, ADAM_BLOCK)]
-
-    m_state = np.zeros_like(params)
-    v_state = np.zeros_like(params)
-    grad = np.empty_like(params)
-    grad_inner, grad_outer = split(grad)
-    scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
+    steps = (lr * ((net.hidden_hi - net.hidden_lo) / (net.outer_basis.intervals * net.d_in)), lr)
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    scratch = np.empty((2, min(ADAM_BLOCK, max(p.size for p in params))))
     trace = np.zeros(config.iterations)
     best_loss = np.inf
-    best_params = params.copy()
+    best_params = [p.copy() for p in params]
     best_iteration = 0
 
     # The last pass only evaluates the final iterate.
     for it in range(config.iterations + 1):
-        u = evaluator.forward(inner, outer)
+        u = evaluator.forward(net.inner_coeffs, net.outer_coeffs)
         loss, grad_u = stencil.loss_and_grad(u)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise TrainingDivergedError(it, loss)
         if loss < best_loss:
             best_loss = loss
-            np.copyto(best_params, params)
+            for best, p in zip(best_params, params):
+                np.copyto(best, p)
             best_u = u
             best_iteration = it
         if it == config.iterations:
             break
         trace[it] = loss
-        grad_inner[...], grad_outer[...] = evaluator.backward(outer, grad_u)
+        grads = [kan.flat_view(g) for g in evaluator.backward(net.outer_coeffs, grad_u)]
         t = it + 1
         c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
-        for sl, step in blocks:
-            n = sl.stop - sl.start
-            _adam_block(params[sl], m_state[sl], v_state[sl], grad[sl], step, c1, c2,
-                        config, scratch[0, :n], scratch[1, :n])
+        for p, m, v, g, step in zip(params, m_state, v_state, grads, steps):
+            for lo in range(0, p.size, ADAM_BLOCK):
+                sl = slice(lo, lo + ADAM_BLOCK)
+                n = p[sl].size
+                _adam_block(p[sl], m[sl], v[sl], g[sl], step, c1, c2,
+                            config, scratch[0, :n], scratch[1, :n])
+        del grads, g  # free this iteration's gradients before the next backward allocates
     final_loss = loss
 
-    best_inner, best_outer = split(best_params)
-    net.inner_coeffs = np.ascontiguousarray(best_inner)
-    net.outer_coeffs = np.ascontiguousarray(best_outer)
+    for best, p in zip(best_params, params):
+        np.copyto(p, best)
     report = TrainReport(
         loss_trace=trace,
         final_loss=final_loss,

@@ -245,6 +245,37 @@ class TestPredict:
         assert rc == cli.EXIT_MODEL
 
 
+def set_entry(doc, key, index, value):
+    entry = doc[key]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = value
+
+
+@pytest.mark.parametrize("command", ["predict", "bounds"])
+@pytest.mark.parametrize("key,index,value", [
+    ("inner_coeffs", (0, 0, 0), math.nan),
+    ("outer_coeffs", (1, 0, 2), math.inf),
+    ("input_range", (0, 0), math.nan),
+    ("hidden_range", (1,), math.inf),
+], ids=["nan-inner-coeff", "inf-outer-coeff", "nan-input-range", "inf-hidden-range"])
+def test_non_finite_model_is_model_error(model_json, tmp_path, capsys, command,
+                                         key, index, value):
+    doc = json.loads(model_json.read_text())
+    set_entry(doc, key, index, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = ["predict", "--model", str(bad), "--x0", "0,1", "--t1", "0.1", "--h", "0.01"]
+    else:
+        argv = ["bounds", "--d", "2", "--model", str(bad)]
+    rc = run_cli(*argv, "--out", str(out))
+    assert rc == cli.EXIT_MODEL
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestBounds:
     def test_report_printed_and_saved(self, tmp_path, capsys):
         out = tmp_path / "bounds.json"

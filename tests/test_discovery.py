@@ -73,7 +73,8 @@ def test_forward_substitution_matches_dense_solve(family, steps):
     for component in range(traj.dim):
         system = discovery.assemble(sch, traj, component)
         u = discovery.solve_grid_values(system)
-        dense = np.linalg.solve(system.dense_matrix(), system.rhs)
+        rhs = np.concatenate([system.aux_rhs, system.lmm_rhs])  # auxiliary rows first
+        dense = np.linalg.solve(system.matrix().toarray(), rhs)
         npt.assert_allclose(u, dense, rtol=1e-6, atol=1e-8)
 
 
@@ -97,7 +98,7 @@ def test_dense_matrix_structure():
     traj = linear_trajectory(0.1)
     sch = lmm.scheme("am", 1)
     system = discovery.assemble(sch, traj, 0)
-    a = system.dense_matrix()
+    a = system.matrix().toarray()
     w = system.window
     assert a.shape == (w.tau, w.tau)
     npt.assert_array_equal(a[: w.aux_count, : w.aux_count],
@@ -219,13 +220,3 @@ def test_solve_all_components_stacks_per_component_solves():
     for c in range(traj.dim):
         expected = discovery.solve_grid_values(discovery.assemble(sch, traj, c))
         npt.assert_array_equal(u[:, c], expected)
-
-
-def test_dense_assembly_guard():
-    sch = lmm.scheme("am", 1)
-    system = discovery.assemble(sch, linear_trajectory(1.0 / 2500), 0)
-    with pytest.raises(ValueError, match="dense assembly disabled"):
-        system.dense_matrix()
-    # the banded path still works at this size
-    u = discovery.solve_grid_values(system)
-    assert u.shape == (system.tau,)

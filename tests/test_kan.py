@@ -242,6 +242,58 @@ class TestParams:
             kan.set_params(net, np.zeros(net.n_params + 1))
 
 
+def assert_output_minor(net: kan.KanNetwork) -> None:
+    """Each layer's memory is (inputs * size, outputs) in C order, and flat_view is a view of it."""
+    for coeffs in (net.inner_coeffs, net.outer_coeffs):
+        flat = kan.flat_view(coeffs)
+        assert np.shares_memory(flat, coeffs)
+        npt.assert_array_equal(flat, coeffs.transpose(1, 2, 0).ravel())
+
+
+class TestLayout:
+    # shapes whose single output or hidden unit makes several layouts coincide
+    SHAPES = [(1, 1, 1), (2, 1, 3), (1, 3, 1), (3, 2, 4)]
+
+    @pytest.mark.parametrize("d_in,d_out,hidden", SHAPES)
+    def test_networks_are_output_minor(self, d_in, d_out, hidden):
+        net = kan.init_network(d_in, d_out, hidden=hidden, degree=2, intervals=3, seed=4)
+        assert_output_minor(net)
+        assert_output_minor(kan.deserialize(kan.serialize(net)))
+        kan.set_params(net, np.arange(net.n_params, dtype=float))
+        assert_output_minor(net)
+        npt.assert_array_equal(kan.get_params(net), np.arange(net.n_params))
+
+    @pytest.mark.parametrize("d_in,d_out,hidden", SHAPES)
+    def test_network_shares_no_memory_with_its_arguments(self, d_in, d_out, hidden):
+        net = kan.init_network(d_in, d_out, hidden=hidden, degree=2, intervals=3, seed=4)
+        # C order, and the output-minor layout itself
+        for inner, outer in ((net.inner_coeffs.copy(), net.outer_coeffs.copy()),
+                             (net.inner_coeffs, net.outer_coeffs)):
+            built = kan.KanNetwork(net.inner_basis, net.outer_basis, net.input_lo,
+                                   net.input_hi, net.hidden_lo, net.hidden_hi, inner, outer)
+            assert not np.shares_memory(built.inner_coeffs, inner)
+            assert not np.shares_memory(built.outer_coeffs, outer)
+            assert_output_minor(built)
+            npt.assert_array_equal(kan.get_params(built), kan.get_params(net))
+
+    @pytest.mark.parametrize("d_in,d_out,hidden", SHAPES)
+    def test_backward_gradients_are_output_minor(self, d_in, d_out, hidden):
+        rng = np.random.default_rng(6)
+        net = random_net(rng, d_in, d_out, hidden, 3, 5)
+        x = rng.uniform(-2.0, 2.0, size=(7, d_in))
+        ev = kan.BatchEvaluator(net, x)
+        ev.forward(net.inner_coeffs, net.outer_coeffs)
+        grads = ev.backward(net.outer_coeffs, rng.normal(size=(7, d_out)))
+        for grad, coeffs in zip(grads, (net.inner_coeffs, net.outer_coeffs)):
+            assert grad.shape == coeffs.shape
+            assert np.shares_memory(kan.flat_view(grad), grad)
+
+    def test_flat_view_rejects_other_layouts(self):
+        net = kan.init_network(2, 2, hidden=3, seed=0)
+        with pytest.raises(ValueError, match="output-minor"):
+            kan.flat_view(np.ascontiguousarray(net.inner_coeffs))
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         net = kan.init_network(2, 2, hidden=3, degree=2, intervals=5, seed=21,

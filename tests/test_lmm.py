@@ -91,7 +91,7 @@ def test_moment_conditions(family, steps):
 def test_order_and_explicitness(family, steps, order, explicit):
     sch = lmm.scheme(family, steps)
     assert sch.order == order
-    assert sch.explicit is explicit
+    assert bool(sch.beta[0] == 0.0) is explicit  # no weight on the new value
 
 
 def test_all_schemes_covers_families():
@@ -179,8 +179,6 @@ class TestIndexWindow:
     def test_am1_short_trajectory(self):
         w = lmm.index_window(lmm.scheme("am", 1), n1=4)
         assert (w.r, w.q, w.tau, w.aux_count) == (0, 4, 5, 1)
-        # the offset-blind count drops the r = 0 unknown and is one short
-        assert w.aux_count_ignoring_offset == 0
 
     def test_ab2_window(self):
         w = lmm.index_window(lmm.scheme("ab", 2), n1=10)
@@ -211,7 +209,6 @@ class TestIndexWindow:
         assert w.r == steps - m_max
         assert w.q == n1 - m_min
         assert 0 <= w.r <= w.q <= n1
-        assert w.aux_count_ignoring_offset == w.aux_count + w.r - 1
 
 
 class TestFdmCoefficients:
