@@ -126,10 +126,13 @@ def solve_all_components(sch: LmmScheme, traj: Trajectory) -> tuple[IndexWindow,
 def condition_number(system: GridSystem, dense_limit: int = DENSE_LIMIT) -> float:
     """Spectral condition number kappa_2(A_h).
 
-    Small systems go through a dense SVD.  Larger ones estimate the
-    extreme singular values iteratively: power iteration on A^T A for
-    the largest and on A^-1 A^-T for the smallest, whose solves are the
-    recursive filter.
+    Systems of at most ``dense_limit`` unknowns go through a dense SVD.
+    Larger ones get an estimate of the extreme singular values: power
+    iteration on A^T A for the largest and on A^-1 A^-T for the smallest,
+    whose solves are the recursive filter.  Power iteration approaches
+    both from below, so the estimate can read low by about 1e-3 relative:
+    AB-2 on 1001 samples reads 2.2337 with ``dense_limit=0`` against the
+    dense 2.2361.
     """
     a = system.matrix()
     if system.tau <= dense_limit:

@@ -49,9 +49,13 @@ class ModelVersionError(ModelFormatError):
     """A model document has an unsupported version tag."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KanNetwork:
-    """Two-layer spline network; see the module docstring for the layout."""
+    """Two-layer spline network; see the module docstring for the layout.
+
+    The fields are read-only: ``set_params`` is the one writer of the
+    coefficients, and ``dataclasses.replace`` builds a changed copy.
+    """
 
     inner_basis: BSplineBasis
     outer_basis: BSplineBasis
@@ -63,10 +67,10 @@ class KanNetwork:
     outer_coeffs: Array
 
     def __post_init__(self):
-        self.input_lo = np.asarray(self.input_lo, dtype=np.float64)
-        self.input_hi = np.asarray(self.input_hi, dtype=np.float64)
-        self.inner_coeffs = _output_minor(self.inner_coeffs)
-        self.outer_coeffs = _output_minor(self.outer_coeffs)
+        object.__setattr__(self, "input_lo", np.asarray(self.input_lo, dtype=np.float64))
+        object.__setattr__(self, "input_hi", np.asarray(self.input_hi, dtype=np.float64))
+        object.__setattr__(self, "inner_coeffs", _output_minor(self.inner_coeffs))
+        object.__setattr__(self, "outer_coeffs", _output_minor(self.outer_coeffs))
         hidden, d_in, p_in = self.inner_coeffs.shape
         d_out, hidden2, p_out = self.outer_coeffs.shape
         if hidden2 != hidden:
@@ -311,12 +315,20 @@ def get_params(net: KanNetwork) -> Array:
 
 
 def set_params(net: KanNetwork, vec: Array) -> None:
+    """Copy ``vec`` into the network's coefficients, in parameter order.
+
+    The arrays keep their memory, so ``flat_view``s of them stay live.  A
+    vector of the wrong length or with a non-finite entry raises
+    ``ValueError`` and leaves the network unchanged.
+    """
     vec = np.asarray(vec, dtype=np.float64)
     n_in = net.inner_coeffs.size
     if vec.shape != (net.n_params,):
         raise ValueError(f"expected {net.n_params} parameters, got {vec.shape}")
-    net.inner_coeffs = _output_minor(vec[:n_in].reshape(net.inner_coeffs.shape))
-    net.outer_coeffs = _output_minor(vec[n_in:].reshape(net.outer_coeffs.shape))
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("parameters must be finite")
+    net.inner_coeffs[...] = vec[:n_in].reshape(net.inner_coeffs.shape)
+    net.outer_coeffs[...] = vec[n_in:].reshape(net.outer_coeffs.shape)
 
 
 def to_document(net: KanNetwork) -> dict:

@@ -38,7 +38,8 @@ class Trajectory:
 
     ``states`` has shape (n_steps + 1, d).  ``provenance`` records how the
     samples were produced ("reference", "learned", "analytic", or
-    "loaded") and travels with the data through save/load.
+    "loaded").  It is not saved: the CSV holds t and the states only, and
+    ``load_trajectory`` sets it from its argument, "loaded" by default.
     """
 
     t0: float

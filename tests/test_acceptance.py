@@ -9,6 +9,16 @@ measured numbers.  Criterion 7 trains from the affine start (every edge
 a random line) with inner Adam steps scaled to the outer grid, which
 keeps the trapezoid rule's invisible alternating error mode out of the
 network; its windowed RMS field error then sits well under 1e-3.
+
+Criterion 8 fits a line to the log of the gap between the learned and
+the true trajectory at T = 1 .. 10.  From T = 2 on, the learned state is
+outside the model's input box: at T = 2 it is (10.6, 0.18), against
+x1 in [-0.18, 3.87].  Outside the box the splines extend as constants,
+so those gaps track ||x_true(T)||_inf, the true solution's own growth
+(within 0.3% from T = 5 on).  Only the T = 1 gap reflects the model's
+accuracy, so a more accurate model lowers the correlation: with the
+other nine gaps held fixed it falls to about 0.9 at a T = 1 gap of 4e-7,
+against 4.6e-4 today.
 """
 import time
 

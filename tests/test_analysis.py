@@ -5,6 +5,7 @@ parameter sets, their claimed monotonicity/linearity properties, and
 the Lipschitz estimate against observed difference quotients.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestLipschitzEstimate:
     def test_scales_with_outer_coefficients(self):
         net = kan.init_network(2, 2, hidden=3, intervals=8, seed=1)
         base = analysis.lipschitz_estimate(net)
-        net.outer_coeffs = net.outer_coeffs * 3.0
+        net = replace(net, outer_coeffs=net.outer_coeffs * 3.0)
         assert analysis.lipschitz_estimate(net) == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_dominates_observed_quotients(self):

@@ -1,7 +1,8 @@
 """B-spline basis tests.
 
-The reference implementation is a deliberately naive scalar Cox-de Boor
-recursion written independently below; scipy.interpolate.BSpline serves
+The references are written independently below: a deliberately naive
+scalar Cox-de Boor recursion, and the local de Boor triangle that
+``eval_local``'s tables must reproduce.  scipy.interpolate.BSpline serves
 as a second, external cross-check.
 """
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.interpolate import BSpline as SciPyBSpline
 
-from kanlmm.bspline import _cox_de_boor, eval_basis, eval_basis_derivative, eval_local, make_basis
+from kanlmm.bspline import eval_basis, eval_basis_derivative, eval_local, make_basis
 
 
 def naive_bspline_value(knots, i, k, x):
@@ -35,6 +36,41 @@ def naive_bspline_value(knots, i, k, x):
     return left + right
 
 
+def _cox_de_boor(knots, degree, x):
+    """``eval_local``'s ``(span, vals, derivs)`` by the local de Boor triangle.
+
+    Piegl & Tiller, algorithms A2.2/A2.3, on any clamped knot vector:
+    inside a nonempty span no denominator vanishes, so no 0/0 convention
+    is needed.
+    """
+    k, t = degree, knots
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, k, t.shape[0] - k - 2)
+    n = x.shape[0]
+    # left[:, j] = x - t[span+1-j], right[:, j] = t[span+j] - x
+    left = np.zeros((n, k + 1))
+    right = np.zeros((n, k + 1))
+    vals = np.zeros((n, k + 1))
+    vals[:, 0] = 1.0
+    for j in range(1, k + 1):
+        if j == k:
+            lower = vals[:, :k].copy()  # degree k-1 values of functions span-k+1 .. span
+        left[:, j] = x - t[span + 1 - j]
+        right[:, j] = t[span + j] - x
+        saved = np.zeros(n)
+        for r in range(j):
+            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
+            vals[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        vals[:, j] = saved
+    # N'_{i,k} = k (N_{i,k-1} / (t_{i+k} - t_i) - N_{i+1,k-1} / (t_{i+k+1} - t_{i+1}))
+    first = span[:, None] - k + np.arange(1, k + 1)
+    scaled = k * lower / (t[first + k] - t[first])
+    derivs = np.zeros((n, k + 1))
+    derivs[:, 1:] += scaled
+    derivs[:, :k] -= scaled
+    return span, vals, derivs
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("intervals", [1, 3, 8])
 def test_matches_naive_recursion(degree, intervals):
@@ -51,30 +87,33 @@ def test_matches_naive_recursion(degree, intervals):
 @pytest.mark.parametrize("intervals", [*range(1, 41), 64, 100])
 def test_power_form_matches_cox_de_boor(degree, intervals):
     # every knot, its floating-point neighbours on both sides, both ends;
-    # partition of unity with test_partition_of_unity's floor holds there
+    # partition of unity with test_partition_of_unity's floor holds there.
+    # The triangle runs on the integer knots 0 .. G at t = G x.
     rng = np.random.default_rng(100 * degree + intervals)
-    for lo, hi in [(0.0, 1.0), (-1.0, 2.0)]:
-        basis = make_basis(degree, intervals, lo=lo, hi=hi)
-        knots = np.unique(basis.knots)
-        x = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
-                            rng.uniform(lo, hi, 300)])
-        x = np.clip(x, lo, hi)
-        span, vals, derivs = eval_local(basis, x)
-        ref_span, ref_vals, ref_derivs = _cox_de_boor(basis.knots, degree, x)
-        npt.assert_array_equal(span, ref_span)
-        npt.assert_allclose(vals, ref_vals, atol=1e-13, rtol=0.0)
-        assert np.all(vals >= -1e-15)
-        npt.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12, rtol=0.0)
-        npt.assert_allclose(derivs, ref_derivs, atol=1e-12 * np.abs(ref_derivs).max(), rtol=0.0)
+    basis = make_basis(degree, intervals)
+    knots = np.unique(basis.knots)
+    x = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                        rng.uniform(0.0, 1.0, 300)])
+    x = np.clip(x, 0.0, 1.0)
+    span, vals, derivs = eval_local(basis, x)
+    integer_knots = np.concatenate([np.zeros(degree), np.arange(intervals + 1.0),
+                                    np.full(degree, float(intervals))])
+    ref_span, ref_vals, ref_derivs = _cox_de_boor(integer_knots, degree, x * intervals)
+    ref_derivs *= intervals
+    npt.assert_array_equal(span, ref_span)
+    npt.assert_allclose(vals, ref_vals, atol=1e-13, rtol=0.0)
+    assert np.all(vals >= -1e-15)
+    npt.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-12, rtol=0.0)
+    npt.assert_allclose(derivs, ref_derivs, atol=1e-12 * np.abs(ref_derivs).max(), rtol=0.0)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5])
 def test_matches_scipy_spline_combination(degree):
     intervals = 7
-    basis = make_basis(degree, intervals, lo=-1.0, hi=2.0)
+    basis = make_basis(degree, intervals)
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(basis.size)
-    x = np.linspace(-1.0, 2.0, 301)
+    x = np.linspace(0.0, 1.0, 301)
     ours = eval_basis(basis, x) @ coeffs
     ref = SciPyBSpline(basis.knots, coeffs, degree)(x)
     npt.assert_allclose(ours, ref, atol=5e-13, rtol=0.0)
@@ -157,10 +196,10 @@ def test_polynomial_reproduction(degree, intervals):
 
 
 def test_derivative_matches_finite_differences():
-    basis = make_basis(3, 10, lo=0.0, hi=2.0)
+    basis = make_basis(3, 10)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(basis.size)
-    x = rng.uniform(0.05, 1.95, 50)
+    x = rng.uniform(0.025, 0.975, 50)
     step = 1e-6
     fd = (eval_basis(basis, x + step) @ coeffs - eval_basis(basis, x - step) @ coeffs) / (2 * step)
     exact = eval_basis_derivative(basis, x) @ coeffs
@@ -168,12 +207,12 @@ def test_derivative_matches_finite_differences():
 
 
 def test_clamping_extends_as_constant():
-    basis = make_basis(3, 5, lo=-1.0, hi=1.0)
+    basis = make_basis(3, 5)
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(basis.size)
-    at_lo = eval_basis(basis, -1.0) @ coeffs
+    at_lo = eval_basis(basis, 0.0) @ coeffs
     at_hi = eval_basis(basis, 1.0) @ coeffs
-    npt.assert_allclose(eval_basis(basis, [-3.0, -1.5]) @ coeffs, at_lo, rtol=0, atol=1e-14)
+    npt.assert_allclose(eval_basis(basis, [-2.0, -0.5]) @ coeffs, at_lo, rtol=0, atol=1e-14)
     npt.assert_allclose(eval_basis(basis, [1.5, 10.0]) @ coeffs, at_hi, rtol=0, atol=1e-14)
     npt.assert_allclose(eval_basis_derivative(basis, [-2.0, 4.0]) @ coeffs, 0.0, atol=0.0)
 
@@ -189,13 +228,13 @@ def test_top_knot_is_covered():
 
 
 def test_knot_vector_structure():
-    basis = make_basis(3, 8, lo=2.0, hi=4.0)
+    basis = make_basis(3, 8)
     assert basis.size == 11
-    npt.assert_array_equal(basis.knots[:4], 2.0)
-    npt.assert_array_equal(basis.knots[-4:], 4.0)
+    npt.assert_array_equal(basis.knots[:4], 0.0)
+    npt.assert_array_equal(basis.knots[-4:], 1.0)
     interior = basis.knots[4:-4]
     assert interior.shape == (7,)
-    npt.assert_allclose(np.diff(interior), 0.25, rtol=0, atol=1e-15)
+    npt.assert_allclose(np.diff(interior), 0.125, rtol=0, atol=1e-15)
 
 
 def test_scalar_and_batch_shapes():
@@ -210,9 +249,6 @@ def test_scalar_and_batch_shapes():
     dict(degree=0, intervals=4),
     dict(degree=-1, intervals=4),
     dict(degree=3, intervals=0),
-    dict(degree=3, intervals=4, lo=1.0, hi=1.0),
-    dict(degree=3, intervals=4, lo=2.0, hi=1.0),
-    dict(degree=3, intervals=4, lo=np.nan, hi=1.0),
 ])
 def test_invalid_construction(bad):
     with pytest.raises(ValueError):

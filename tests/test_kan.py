@@ -5,6 +5,8 @@ gradients against central finite differences, the sparse batch passes
 against dense basis tables, and the JSON model format against exact
 round trips and a catalogue of malformed documents.
 """
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -107,7 +109,7 @@ def test_constant_outer_coefficients_sum_to_hidden_width():
     # with every outer coefficient equal to c, partition of unity makes
     # each output exactly hidden * c regardless of the input
     net = kan.init_network(2, 2, hidden=7, seed=3)
-    net.outer_coeffs = np.full_like(net.outer_coeffs, 0.25)
+    net = replace(net, outer_coeffs=np.full_like(net.outer_coeffs, 0.25))
     x = np.random.default_rng(1).uniform(-3, 3, size=(9, 2))
     npt.assert_allclose(kan.forward(net, x), 7 * 0.25, rtol=1e-13)
 
@@ -118,12 +120,10 @@ def test_output_is_linear_in_outer_coefficients():
     a = rng.standard_normal(net.outer_coeffs.shape)
     b = rng.standard_normal(net.outer_coeffs.shape)
     x = rng.uniform(0, 1, size=(6, 2))
-    net.outer_coeffs = a
-    ya = kan.forward(net, x)
-    net.outer_coeffs = b
-    yb = kan.forward(net, x)
-    net.outer_coeffs = a + b
-    npt.assert_allclose(kan.forward(net, x), ya + yb, rtol=1e-12, atol=1e-13)
+    ya = kan.forward(replace(net, outer_coeffs=a), x)
+    yb = kan.forward(replace(net, outer_coeffs=b), x)
+    npt.assert_allclose(kan.forward(replace(net, outer_coeffs=a + b), x), ya + yb,
+                        rtol=1e-12, atol=1e-13)
 
 
 def test_out_of_range_inputs_clamp_to_boundary_values():
@@ -240,6 +240,24 @@ class TestParams:
         net = kan.init_network(1, 1, hidden=1, seed=0)
         with pytest.raises(ValueError):
             kan.set_params(net, np.zeros(net.n_params + 1))
+
+    def test_set_params_is_the_only_writer(self):
+        net = kan.init_network(2, 2, hidden=3, seed=0)
+        before = kan.get_params(net)
+        with pytest.raises(FrozenInstanceError):
+            net.outer_coeffs = np.full_like(net.outer_coeffs, np.nan)
+        with pytest.raises(FrozenInstanceError):
+            net.hidden_lo = 0.0
+        flat = kan.flat_view(net.inner_coeffs)
+        bad = before.copy()
+        bad[-1] = np.nan
+        with pytest.raises(ValueError):
+            kan.set_params(net, bad)
+        npt.assert_array_equal(kan.get_params(net), before)
+        # a flat view taken before set_params sees the new values
+        kan.set_params(net, before + 1.0)
+        npt.assert_array_equal(flat, net.inner_coeffs.transpose(1, 2, 0).ravel())
+        npt.assert_array_equal(kan.get_params(net), before + 1.0)
 
 
 def assert_output_minor(net: kan.KanNetwork) -> None:
@@ -379,10 +397,10 @@ def assert_close_relative(got, expected):
 def test_batch_passes_match_dense_reference(degree, seed):
     rng = np.random.default_rng(seed)
     net = kan.init_network(3, 2, hidden=5, degree=degree, intervals=8, seed=seed)
-    net.inner_coeffs = rng.uniform(-1.0, 1.0, net.inner_coeffs.shape)
-    net.outer_coeffs = rng.uniform(-1.0, 1.0, net.outer_coeffs.shape)
     # a narrow hidden range and inputs beyond [0, 1] clamp both layers
-    net.hidden_lo, net.hidden_hi = -0.5, 0.5
+    net = replace(net, inner_coeffs=rng.uniform(-1.0, 1.0, net.inner_coeffs.shape),
+                  outer_coeffs=rng.uniform(-1.0, 1.0, net.outer_coeffs.shape),
+                  hidden_lo=-0.5, hidden_hi=0.5)
     x = rng.uniform(-0.5, 1.5, size=(200, 3))
     upstream = rng.standard_normal((200, 2))
     zraw, u, grad_inner, grad_outer = dense_reference(net, x, upstream)
@@ -412,8 +430,8 @@ class TestBatchEvaluator:
     def test_basis_major_views_give_identical_bits(self):
         rng = np.random.default_rng(5)
         net = random_net(rng, 3, 2, 4, 3, 6)
-        net.inner_coeffs = rng.normal(size=net.inner_coeffs.shape)
-        net.outer_coeffs = rng.normal(size=net.outer_coeffs.shape)
+        inner = rng.normal(size=net.inner_coeffs.shape)
+        outer = rng.normal(size=net.outer_coeffs.shape)
         x = rng.uniform(-2.5, 0.5, size=(40, 3))
         upstream = rng.normal(size=(40, 2))
 
@@ -424,12 +442,21 @@ class TestBatchEvaluator:
             return view
 
         passes = []
-        for inner, outer in ((net.inner_coeffs, net.outer_coeffs),
-                             (basis_major(net.inner_coeffs), basis_major(net.outer_coeffs))):
+        for inner_view, outer_view in ((inner, outer), (basis_major(inner), basis_major(outer))):
             ev = kan.BatchEvaluator(net, x)
-            passes.append((ev.forward(inner, outer), *ev.backward(outer, upstream)))
+            passes.append((ev.forward(inner_view, outer_view),
+                           *ev.backward(outer_view, upstream)))
         for c_order, bm in zip(*passes):
             npt.assert_array_equal(bm, c_order)
+
+    def test_nan_coefficients_give_nan_outputs(self):
+        # NaN hidden sums reach the outer basis; they must propagate, not index out of range
+        net = kan.init_network(2, 2, hidden=3, seed=0)
+        inner = net.inner_coeffs.copy()
+        inner[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = kan.BatchEvaluator(net, np.full((4, 2), 0.5)).forward(inner, net.outer_coeffs)
+        assert np.all(np.isnan(out))
 
     def test_gradient_rejects_nonfinite_upstream(self):
         net = kan.init_network(1, 1, hidden=1, seed=0)
