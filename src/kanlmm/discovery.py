@@ -2,15 +2,16 @@
 
 For a multistep scheme the residual equations in the unknowns
 u_n = f(x(t_n)) form a banded block B_h acting on the window n = r..q.
-Squaring the system requires aux_count = len(stencil) - 1 extra rows;
-these pin down the earliest unknowns with one-sided difference
+Squaring the system requires aux_count = len(scheme.stencil) - 1 extra
+rows; these pin down the earliest unknowns with one-sided difference
 approximations of the same order as the scheme.  Stacked as
-A_h = [C; B_h], the system is lower triangular and every row below the
-identity block C carries the same beta stencil, so solving it is a
-linear recursive filter: the multistep right-hand side is the input and
-the one-sided start-up values are the initial conditions (Keller & Du,
-SINUM 59, 2021).  Grid values follow from scipy.signal.lfilter in
-O(tau * steps) time.
+A_h = [C; B_h] (``lmm.system_matrix``, the same operator whose
+least-squares residual is the training loss J_ah), the system is lower
+triangular and every row below the identity block C carries the same
+beta stencil, so solving it is a linear recursive filter: the multistep
+right-hand side is the input and the one-sided start-up values are the
+initial conditions (Keller & Du, SINUM 59, 2021).  Grid values follow
+from scipy.signal.lfilter in O(tau * steps) time.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy import sparse
 
 from . import lmm
 from .lmm import IndexWindow, LmmScheme
@@ -29,44 +29,27 @@ Array = npt.NDArray[np.float64]
 DENSE_LIMIT = 2000
 
 
-class ZeroDiagonalError(RuntimeError):
-    """The recursive filter would divide by a (structurally) zero pivot."""
-
-
 class SingularSystemError(RuntimeError):
     """The assembled system is numerically singular."""
 
 
 @dataclass(frozen=True)
 class GridSystem:
-    """Assembled linear system A_h u = rhs for one state component.
+    """Right-hand side of A_h u = [aux_rhs; lmm_rhs] for one state component.
 
-    ``stencil`` holds the nonzero band of each multistep row in ascending
-    column order, i.e. [beta_{m_max}, ..., beta_{m_min}]; multistep row i
-    occupies columns i..i+len(stencil)-1 of the window.  ``lmm_rhs`` is
-    the (1/h) alpha combination of the data and ``aux_rhs`` the one-sided
-    difference values that make the system square.
+    A_h itself is ``lmm.system_matrix(scheme, window.n1)``.  ``lmm_rhs``
+    is the (1/h) alpha combination of the data and ``aux_rhs`` the
+    one-sided difference values that make the system square.
     """
 
     scheme: LmmScheme
     window: IndexWindow
-    h: float
-    stencil: Array
     lmm_rhs: Array
     aux_rhs: Array
 
     @property
     def tau(self) -> int:
         return self.window.tau
-
-    def matrix(self) -> sparse.csr_array:
-        """A_h = [C; B_h] as a sparse (tau, tau) band."""
-        rows = self.lmm_rhs.shape[0]
-        width = self.stencil.shape[0]
-        lmm_block = sparse.diags_array(list(self.stencil), offsets=range(width),
-                                       shape=(rows, self.tau))
-        aux_block = sparse.eye_array(self.window.aux_count, self.tau)
-        return sparse.vstack([aux_block, lmm_block], format="csr")
 
 
 def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
@@ -83,10 +66,8 @@ def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
             f"need n1 >= steps + order = {sch.steps + sch.order}, got {n1}"
         )
     b, c = lmm.data_terms(sch, traj.states[:, [component]], traj.h)
-    m_min, m_max = sch.beta_support
-    stencil = sch.beta[m_min : m_max + 1][::-1].copy()
-    return GridSystem(scheme=sch, window=lmm.index_window(sch, n1), h=traj.h,
-                      stencil=stencil, lmm_rhs=b[:, 0], aux_rhs=c[:, 0])
+    return GridSystem(scheme=sch, window=lmm.index_window(sch, n1),
+                      lmm_rhs=b[:, 0], aux_rhs=c[:, 0])
 
 
 def _filter(system: GridSystem, lmm_rhs: Array, initial: Array) -> Array:
@@ -95,15 +76,15 @@ def _filter(system: GridSystem, lmm_rhs: Array, initial: Array) -> Array:
     Row i reads sum_j stencil[j] u[i + j] = lmm_rhs[i]; with y_i the
     newest unknown u[i + aux_count] this is the recursion
     sum_k stencil[-1 - k] y_{i-k} = lmm_rhs[i], started from the
-    aux_count earlier values ``initial`` (oldest first).
+    aux_count earlier values ``initial`` (oldest first).  The leading
+    filter coefficient stencil[-1] = beta_{m_min} is nonzero by
+    construction of ``LmmScheme.stencil``.
     """
     # Importing scipy.signal adds about 23 MB of resident memory, so only
     # grid-value recovery pays for it, not every import of the package.
     from scipy.signal import lfilter, lfiltic
 
-    a = system.stencil[::-1]
-    if a[0] == 0.0:
-        raise ZeroDiagonalError("trailing beta coefficient is zero")
+    a = system.scheme.stencil[::-1]
     return lfilter([1.0], a, lmm_rhs, zi=lfiltic([1.0], a, initial[::-1]))[0]
 
 
@@ -134,7 +115,7 @@ def condition_number(system: GridSystem, dense_limit: int = DENSE_LIMIT) -> floa
     AB-2 on 1001 samples reads 2.2337 with ``dense_limit=0`` against the
     dense 2.2361.
     """
-    a = system.matrix()
+    a = lmm.system_matrix(system.scheme, system.window.n1)
     if system.tau <= dense_limit:
         svals = np.linalg.svd(a.toarray(), compute_uv=False)
         if svals[-1] <= 1e-14 * svals[0]:

@@ -156,8 +156,7 @@ def _glycolytic(out: Path, quick: bool, seed: int) -> dict:
                                   iterations=iters, seed=seed)
     net, report = training.train(config, traj, true_field=sys_def.field)
     kan.save_model(net, out / "model.json")
-    learned = odeint.integrate(lambda y: kan.forward(net, y), sys_def.x0, 0.0, t_pred, h,
-                               provenance="learned")
+    learned = odeint.integrate(lambda y: kan.forward(net, y), sys_def.x0, 0.0, t_pred, h)
     reference_long = odeint.integrate(sys_def.field, sys_def.x0, 0.0, t_pred, h)
     odeint.save_trajectory(learned, out / "learned.csv")
     n_train = traj.n_steps
@@ -192,8 +191,7 @@ def _opinion(out: Path, quick: bool, seed: int) -> dict:
         config = training.TrainConfig(family="am", steps=1, degree=3, intervals=g,
                                       iterations=iters, seed=seed)
         net, report = training.train(config, traj, true_field=sys_def.field)
-        learned = odeint.integrate(lambda y: kan.forward(net, y), sys_def.x0, 0.0, t_end, h,
-                                   provenance="learned")
+        learned = odeint.integrate(lambda y: kan.forward(net, y), sys_def.x0, 0.0, t_end, h)
         linf = float(np.max(np.abs(learned.states - traj.states)))
         rows.append({"d": d, "linf_error": linf,
                      "seminorm_error": report.seminorm_error,

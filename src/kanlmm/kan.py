@@ -54,7 +54,9 @@ class KanNetwork:
     """Two-layer spline network; see the module docstring for the layout.
 
     The fields are read-only: ``set_params`` is the one writer of the
-    coefficients, and ``dataclasses.replace`` builds a changed copy.
+    coefficients, and ``dataclasses.replace`` builds a changed copy.  The
+    input ranges are private read-only copies, so no write can get past
+    the finiteness check; the coefficients stay writable for ``flat_view``.
     """
 
     inner_basis: BSplineBasis
@@ -67,8 +69,11 @@ class KanNetwork:
     outer_coeffs: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "input_lo", np.asarray(self.input_lo, dtype=np.float64))
-        object.__setattr__(self, "input_hi", np.asarray(self.input_hi, dtype=np.float64))
+        for name in ("input_lo", "input_hi"):
+            # Copy first, so that the caller's own array stays writable.
+            bounds = np.array(getattr(self, name), dtype=np.float64)
+            bounds.setflags(write=False)
+            object.__setattr__(self, name, bounds)
         object.__setattr__(self, "inner_coeffs", _output_minor(self.inner_coeffs))
         object.__setattr__(self, "outer_coeffs", _output_minor(self.outer_coeffs))
         hidden, d_in, p_in = self.inner_coeffs.shape

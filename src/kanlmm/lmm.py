@@ -7,10 +7,11 @@ Scheme convention, with x_n the state at t_n and f the field:
 
     (1/h) * sum_{m=0}^{M} alpha_m x_{n-m} = sum_{m=0}^{M} beta_m f(x_{n-m})
 
-normalized so alpha_0 > 0.  The module also provides the residual
-operator, an empirical-order fit, index-window bookkeeping for the
-grid-value linear system, one-sided difference weights, and the root
-condition on the beta polynomial.
+normalized so alpha_0 > 0.  The module also owns the multistep
+operator: the grid-value system A_h = [C; B_h] over the index window,
+which the residual, the training losses and grid-value recovery all
+read.  Alongside are an empirical-order fit, one-sided difference
+weights, and the root condition on the beta polynomial.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import numpy.typing as npt
+from scipy import sparse
 
 Array = npt.NDArray[np.float64]
 
@@ -52,6 +54,16 @@ class LmmScheme:
         if nz.size == 0:
             raise ValueError("scheme has an all-zero beta row")
         return int(nz.min()), int(nz.max())
+
+    @property
+    def stencil(self) -> Array:
+        """[beta_{m_max}, ..., beta_{m_min}]: the band of one multistep row.
+
+        In ascending column order, so the last entry multiplies the newest
+        unknown; ``beta_support`` trims zeros, so both ends are nonzero.
+        """
+        m_min, m_max = self.beta_support
+        return self.beta[m_min : m_max + 1][::-1].copy()
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -149,26 +161,23 @@ def residual(sch: LmmScheme, times: Array, states: Array, field) -> Array:
     """Multistep residual of a trajectory against a candidate field.
 
     r_n = (1/h) sum_m alpha_m x_{n-m} - sum_m beta_m field(x_{n-m}) for
-    n = steps..N1, returned as an array of shape (N1 - steps + 1, d).
-    ``times`` must be equidistant.
+    n = steps..N1, i.e. b - B_h f over the index window, returned as an
+    array of shape (N1 - steps + 1, d).  ``times`` must be equidistant.
     """
     times = np.asarray(times, dtype=np.float64)
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or times.shape[0] != states.shape[0]:
         raise ValueError("states must be (n_points, d) aligned with times")
     n1 = states.shape[0] - 1
-    m = sch.steps
-    if n1 < m:
-        raise ValueError(f"need at least steps+1 = {m + 1} points, got {n1 + 1}")
+    if n1 < sch.steps:
+        raise ValueError(f"need at least steps+1 = {sch.steps + 1} points, got {n1 + 1}")
     h = (times[-1] - times[0]) / n1
     if h <= 0 or not np.allclose(np.diff(times), h, rtol=0.0, atol=1e-9 * max(abs(h), 1.0)):
         raise ValueError("times must be strictly increasing and equidistant")
-    fvals = np.apply_along_axis(field, 1, states)
-    out = np.zeros((n1 - m + 1, states.shape[1]))
-    for mm in range(m + 1):
-        window = slice(m - mm, n1 + 1 - mm)
-        out += (sch.alpha[mm] / h) * states[window] - sch.beta[mm] * fvals[window]
-    return out
+    w = index_window(sch, n1)
+    b, _ = data_terms(sch, states, h, startup=False)
+    fvals = np.apply_along_axis(field, 1, states[w.r : w.q + 1])
+    return b - system_matrix(sch, n1)[w.aux_count:] @ fvals
 
 
 def empirical_order(sch: LmmScheme, field, solution, h_list, t0: float = 0.0, t1: float = 1.0) -> float:
@@ -207,11 +216,10 @@ class IndexWindow:
     [m_min, m_max], the multistep equations for n = steps..n1 involve
     the unknowns f(x_r), ..., f(x_q).  ``aux_count`` is the number of
     one-sided-difference rows needed to square the system, defined as
-    tau - (n1 - steps + 1).
+    tau - (n1 - steps + 1) = m_max - m_min = len(stencil) - 1.
     """
 
     n1: int
-    steps: int
     r: int
     q: int
     aux_count: int
@@ -231,7 +239,26 @@ def index_window(sch: LmmScheme, n1: int) -> IndexWindow:
     q = n1 - m_min
     tau = q - r + 1
     aux = tau - (n1 - sch.steps + 1)
-    return IndexWindow(n1=n1, steps=sch.steps, r=r, q=q, aux_count=aux)
+    return IndexWindow(n1=n1, r=r, q=q, aux_count=aux)
+
+
+def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
+    """A_h = [C; B_h] over the window r..q as one sparse (tau, tau) matrix.
+
+    The first aux_count rows are C, identity rows that pin the earliest
+    unknowns to the one-sided difference values.  Below them multistep
+    row i carries ``sch.stencil`` in window columns i..i + aux_count, so
+    beta_{m_min} sits on the diagonal and A_h is lower triangular.  The
+    rows of B_h are those of ``data_terms``' b, n = steps..n1.
+    """
+    w = index_window(sch, n1)
+    aux, rows = w.aux_count, w.tau - w.aux_count
+    # Diagonal offset j - aux holds stencil[j] in the multistep rows; its
+    # first j entries lie in the identity rows: 1 on the main diagonal, 0 below.
+    bands = [np.concatenate([np.full(j, float(j == aux)), np.full(rows, beta)])
+             for j, beta in enumerate(sch.stencil)]
+    return sparse.diags_array(bands, offsets=range(-aux, 1), shape=(w.tau, w.tau),
+                              format="csr")
 
 
 def fdm_coefficients(order: int) -> Array:

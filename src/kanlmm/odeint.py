@@ -36,17 +36,13 @@ class NonFiniteStateError(IntegrationError):
 class Trajectory:
     """States sampled on the uniform grid t_n = t0 + n*h, n = 0..n_steps.
 
-    ``states`` has shape (n_steps + 1, d).  ``provenance`` records how the
-    samples were produced ("reference", "learned", "analytic", or
-    "loaded").  It is not saved: the CSV holds t and the states only, and
-    ``load_trajectory`` sets it from its argument, "loaded" by default.
+    ``states`` has shape (n_steps + 1, d).
     """
 
     t0: float
     t1: float
     h: float
     states: Array
-    provenance: str = "reference"
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.float64)
@@ -90,9 +86,7 @@ def grid_size(t0: float, t1: float, h: float) -> int:
     return n1
 
 
-def integrate(field, x0, t0: float, t1: float, h: float,
-              max_step: float | None = None,
-              provenance: str = "reference") -> Trajectory:
+def integrate(field, x0, t0: float, t1: float, h: float) -> Trajectory:
     """Integrate dx/dt = field(x) and sample on the uniform grid of step h.
 
     ``field`` maps a state vector to its derivative; the system is
@@ -100,13 +94,11 @@ def integrate(field, x0, t0: float, t1: float, h: float,
     """
     n1 = grid_size(t0, t1, h)
     times = t0 + h * np.arange(n1 + 1)
-    states = integrate_at(field, x0, t0, t1, times, max_step)
-    return Trajectory(t0=float(t0), t1=float(t0 + n1 * h), h=float(h),
-                      states=states, provenance=provenance)
+    states = integrate_at(field, x0, t0, t1, times)
+    return Trajectory(t0=float(t0), t1=float(t0 + n1 * h), h=float(h), states=states)
 
 
-def integrate_at(field, x0, t0: float, t1: float, times,
-                 max_step: float | None = None) -> Array:
+def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     """Integrate dx/dt = field(x) over [t0, t1]; the states at ``times``.
 
     Returns shape (len(times), d), read from the dense output.  Raises
@@ -122,10 +114,8 @@ def integrate_at(field, x0, t0: float, t1: float, times,
         return field(y)
 
     kwargs = dict(method="DOP853", rtol=TOLERANCE, atol=TOLERANCE, dense_output=True)
-    if max_step is not None:
-        kwargs["max_step"] = max_step
     sol = solve_ivp(rhs, (t0, t1), x0, **kwargs)
-    if not sol.success and max_step is None:
+    if not sol.success:
         # One retry with a capped step handles fields with fast transients
         # that defeat the step controller on the first pass.
         kwargs["max_step"] = 1e-4
@@ -151,13 +141,13 @@ def save_trajectory(traj: Trajectory, path) -> None:
             writer.writerow([f"{times[n]:.17g}"] + [f"{v:.17g}" for v in traj.states[n]])
 
 
-def load_trajectory(path, provenance: str = "loaded") -> Trajectory:
+def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by save_trajectory (or any equidistant CSV)."""
     with open(path, newline="") as fh:
-        return _read_csv(fh, provenance)
+        return _read_csv(fh)
 
 
-def _read_csv(fh, provenance: str) -> Trajectory:
+def _read_csv(fh) -> Trajectory:
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -178,5 +168,4 @@ def _read_csv(fh, provenance: str) -> Trajectory:
     h = (times[-1] - times[0]) / n1
     if h <= 0 or np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(abs(h), 1.0):
         raise ValueError("trajectory time column is not equidistant")
-    return Trajectory(t0=float(times[0]), t1=float(times[-1]), h=float(h),
-                      states=states, provenance=provenance)
+    return Trajectory(t0=float(times[0]), t1=float(times[-1]), h=float(h), states=states)

@@ -1,12 +1,16 @@
 """Multistep residual losses over a spline network and full-batch Adam.
 
-The plain loss J_h is the mean squared multistep residual of the network
-over the trajectory; the augmented loss J_ah adds collocation rows that
-pin the earliest window values to one-sided difference estimates, making
-the minimizer unique the same way the augmented linear system is.  Both
-losses are quadratic in the network outputs, so their output-space
-gradient is a sparse scatter of the residual rows and the coefficient
-gradient follows from one backward pass.
+Both losses are least-squares residuals of the multistep operator
+A_h = [C; B_h] that ``lmm.system_matrix`` builds.  The plain loss J_h is
+the mean squared residual of the band rows, ||B_h u - b||^2 / rows, with
+u the network values over the index window and b the (1/h) alpha
+combination of the data.  The augmented loss J_ah is
+||A_h u - [c; b]||^2 / tau: its identity rows C pin the earliest window
+values to one-sided difference estimates c, so its minimizer is unique
+because A_h is invertible, and it is the grid-value solution that
+``discovery`` recovers.  The output-space gradient is
+(2 / norm) A^T (A u - rhs), and the coefficient gradient follows from one
+backward pass.
 
 Training is deterministic: full-batch gradients, a seeded initializer,
 and a fixed summation order; a given (config, trajectory) pair always
@@ -99,61 +103,39 @@ class TrainReport:
 
 
 class ResidualStencil:
-    """Precomputed data terms of J_h / J_ah for one (scheme, trajectory) pair.
+    """J_h / J_ah for one (scheme, trajectory) pair as a least-squares residual.
 
     Exposes the loss and its gradient with respect to the network values
-    U[n] ~ u(x_n) stacked over every grid state.  The multistep residual
-    rows read R = sum_m beta_m U[shift_m] - b with b the (1/h) alpha
-    combination of the data; the augmented variant adds identity rows
-    U[r..r+aux-1] - c with c the one-sided difference estimates.
+    U[n] ~ u(x_n) stacked over every grid state.  The residual is
+    A U[r..q] - rhs with A the multistep operator ``lmm.system_matrix``:
+    J_ah uses all of A_h = [C; B_h] and rhs = [c; b], J_h only the band
+    rows B_h and rhs = b.  Here b is the (1/h) alpha combination of the
+    data and c the one-sided difference estimates at the first aux_count
+    window indices.
     """
 
     def __init__(self, scheme: LmmScheme, traj: Trajectory, kind: str):
         if kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-        m, n1 = scheme.steps, traj.n_steps
-        needed = m if kind == "jh" else m + scheme.order
+        n1 = traj.n_steps
+        needed = scheme.steps if kind == "jh" else scheme.steps + scheme.order
         if n1 < needed:
             raise ValueError(f"trajectory too short: need n1 >= {needed}, got {n1}")
-        self.scheme = scheme
-        self.kind = kind
         self.window = w = lmm.index_window(scheme, n1)
-        self.shifts = [slice(m - mm, n1 + 1 - mm) for mm in range(m + 1)]
-        self.b, self.c = lmm.data_terms(scheme, traj.states, traj.h, startup=kind == "jah")
-        if kind == "jh":
-            self.aux_slice = slice(0, 0)
-            self.norm = float(self.b.shape[0])
-        else:
-            self.aux_slice = slice(w.r, w.r + w.aux_count)
-            self.norm = float(w.tau)
-
-    def lmm_residual(self, u: Array) -> Array:
-        res = -self.b
-        for mm, sl in enumerate(self.shifts):
-            beta = self.scheme.beta[mm]
-            if beta != 0.0:
-                res = res + beta * u[sl]
-        return res
-
-    def loss(self, u: Array) -> float:
-        value = float(np.sum(self.lmm_residual(u) ** 2))
-        if self.kind == "jah":
-            value += float(np.sum((u[self.aux_slice] - self.c) ** 2))
-        return value / self.norm
+        b, c = lmm.data_terms(scheme, traj.states, traj.h, startup=kind == "jah")
+        a = lmm.system_matrix(scheme, n1)
+        self.matrix = a if kind == "jah" else a[w.aux_count:]
+        # Transposing on every call would cost about as much as the product.
+        self.matrix_t = self.matrix.T.tocsr()
+        self.rhs = np.concatenate([c, b])
+        self.columns = slice(w.r, w.q + 1)
+        self.norm = float(self.rhs.shape[0])
 
     def loss_and_grad(self, u: Array) -> tuple[float, Array]:
-        res = self.lmm_residual(u)
+        res = self.matrix @ u[self.columns] - self.rhs
         grad = np.zeros_like(u)
-        for mm, sl in enumerate(self.shifts):
-            beta = self.scheme.beta[mm]
-            if beta != 0.0:
-                grad[sl] += (2.0 * beta / self.norm) * res
-        value = float(np.sum(res ** 2))
-        if self.kind == "jah":
-            aux_res = u[self.aux_slice] - self.c
-            value += float(np.sum(aux_res ** 2))
-            grad[self.aux_slice] += (2.0 / self.norm) * aux_res
-        return value / self.norm, grad
+        grad[self.columns] = (2.0 / self.norm) * (self.matrix_t @ res)
+        return float(np.sum(res ** 2)) / self.norm, grad
 
 
 def input_range_from_states(states: Array, margin: float = INPUT_MARGIN) -> Array:

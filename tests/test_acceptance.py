@@ -43,8 +43,7 @@ def linear_trajectory(h: float) -> odeint.Trajectory:
     sysd = systems.linear_system()
     n = round(1.0 / h)
     ts = np.arange(n + 1) * h
-    return odeint.Trajectory(t0=0.0, t1=n * h, h=h, states=sysd.solution(ts),
-                             provenance="generated")
+    return odeint.Trajectory(t0=0.0, t1=n * h, h=h, states=sysd.solution(ts))
 
 
 def test_criterion_01_bspline_basis(acceptance_log):

@@ -81,6 +81,17 @@ class TestSolveGrid:
         assert np.max(np.abs(fhat - ftrue)) < 1e-2  # O(h^2) at h = 0.02
         assert "kappa2" in capsys.readouterr().out
 
+    def test_kappa_above_dense_limit_is_labelled_an_estimate(self, traj_csv, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("solve-grid", "--data", str(traj_csv), "--out", str(out)) == 0
+        assert "estimate" not in capsys.readouterr().out  # 51 samples: dense SVD
+        data = tmp_path / "fine.csv"
+        assert run_cli("gen", "--system", "linear", "--h", "4e-4", "--out", str(data)) == 0
+        capsys.readouterr()
+        assert run_cli("solve-grid", "--data", str(data), "--out", str(out)) == 0
+        line = capsys.readouterr().out.strip()
+        assert "tau = 2501" in line and "power-iteration estimate" in line
+
     def test_without_reference_field(self, traj_csv, tmp_path):
         out = tmp_path / "grid.csv"
         assert run_cli("solve-grid", "--data", str(traj_csv), "--out", str(out)) == 0

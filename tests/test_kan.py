@@ -259,6 +259,23 @@ class TestParams:
         npt.assert_array_equal(flat, net.inner_coeffs.transpose(1, 2, 0).ravel())
         npt.assert_array_equal(kan.get_params(net), before + 1.0)
 
+    def test_input_ranges_are_read_only_copies(self):
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
+        net = kan.init_network(2, 1, hidden=3, seed=0, input_range=np.column_stack([lo, hi]))
+        with pytest.raises(ValueError):
+            net.input_lo[0] = np.nan
+        with pytest.raises(ValueError):
+            net.input_hi[:] = 0.0
+        assert np.all(np.isfinite(kan.forward(net, np.array([0.5, 1.0]))))
+        moved = replace(net, input_lo=net.input_lo - 1.0)
+        npt.assert_array_equal(moved.input_lo, [-2.0, -1.0])
+        assert not moved.input_lo.flags.writeable
+        npt.assert_array_equal(net.input_lo, [-1.0, 0.0])
+        # the caller's own array is copied, not frozen
+        direct = replace(net, input_hi=hi)
+        hi[0] = 5.0
+        assert direct.input_hi[0] == 1.0
+
 
 def assert_output_minor(net: kan.KanNetwork) -> None:
     """Each layer's memory is (inputs * size, outputs) in C order, and flat_view is a view of it."""

@@ -117,6 +117,34 @@ def test_beta_support():
     assert lmm.scheme("bdf", 3).beta_support == (0, 0)
 
 
+def test_stencil_is_trimmed_band_in_column_order():
+    npt.assert_array_equal(lmm.scheme("am", 1).stencil, [0.5, 0.5])
+    npt.assert_array_equal(lmm.scheme("ab", 2).stencil, [-0.5, 1.5])
+    npt.assert_array_equal(lmm.scheme("bdf", 3).stencil, [1.0])
+    for sch in lmm.all_schemes():
+        # both ends nonzero: the filter's leading coefficient never vanishes
+        assert sch.stencil[0] != 0.0 and sch.stencil[-1] != 0.0
+
+
+@pytest.mark.parametrize("family", lmm.FAMILIES)
+@pytest.mark.parametrize("steps", range(1, 7))
+def test_system_matrix_matches_scheme_rows(family, steps):
+    # A_h written out entry by entry from alpha/beta bookkeeping: identity
+    # rows first, then row n = steps..n1 with beta_m in column n - m - r
+    sch = lmm.scheme(family, steps)
+    for n1 in (steps, 20):
+        w = lmm.index_window(sch, n1)
+        expected = np.zeros((w.tau, w.tau))
+        expected[: w.aux_count, : w.aux_count] = np.eye(w.aux_count)
+        for row, n in enumerate(range(steps, n1 + 1), start=w.aux_count):
+            for mm in range(steps + 1):
+                if sch.beta[mm] != 0.0:
+                    expected[row, n - mm - w.r] = sch.beta[mm]
+        a = lmm.system_matrix(sch, n1)
+        assert a.format == "csr"
+        npt.assert_array_equal(a.toarray(), expected)
+
+
 class TestResidual:
     def test_zero_for_exact_linear_motion(self):
         # constant field, affine trajectory: every consistent scheme is exact
