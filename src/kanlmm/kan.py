@@ -39,6 +39,9 @@ Array = npt.NDArray[np.float64]
 MODEL_VERSION = 1
 CORNER_ENUM_LIMIT = 10  # enumerate all 2^d input-box corners only up to here
 CALIBRATION_SAMPLES = 1024
+# backward gathers outer coefficients for blocks of samples of at most this
+# many entries (256 KB), so that one block stays in a core's cache.
+GATHER_BLOCK = 1 << 15
 
 
 class ModelFormatError(ValueError):
@@ -278,13 +281,18 @@ class BatchEvaluator:
         if self._outer is None:
             raise RuntimeError("backward requires a preceding forward pass")
         grad_outer = (self._outer.T @ upstream).T.reshape(outer_coeffs.shape)
-        flat = outer_coeffs.reshape(outer_coeffs.shape[0], -1)
-        # outer coefficients at the nonzero functions, (n, hidden * (k+1), d_out):
-        # the basis matrix's column indices are their flat positions
-        picked = flat.T.take(self._outer.indices, axis=0).reshape(upstream.shape[0], -1,
-                                                                   flat.shape[0])
-        slopes = (picked @ upstream[:, :, None]).reshape(self._outer_derivs.shape)
-        dz = np.einsum("bjr,bjr->bj", slopes, self._outer_derivs)
+        coeffs = outer_coeffs.reshape(outer_coeffs.shape[0], -1).T
+        # the basis matrix's column indices are the flat positions of the
+        # outer coefficients at the nonzero functions, hidden * (k+1) per sample
+        idx = self._outer.indices.reshape(upstream.shape[0], -1)
+        slopes = np.empty(idx.shape)
+        block = max(1, GATHER_BLOCK // (idx.shape[1] * coeffs.shape[1]))
+        for lo in range(0, len(idx), block):
+            rows = slice(lo, lo + block)
+            picked = coeffs.take(idx[rows], axis=0)  # (block, hidden * (k+1), d_out)
+            slopes[rows] = (picked @ upstream[rows, :, None])[:, :, 0]
+        dz = np.einsum("bjr,bjr->bj", slopes.reshape(self._outer_derivs.shape),
+                       self._outer_derivs)
         dz *= self.hidden_slope
         dz *= self._inside
         grad_inner = (self._inner.T @ dz).T.reshape(self.net.inner_coeffs.shape)

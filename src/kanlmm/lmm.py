@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import numpy.typing as npt
@@ -264,16 +265,16 @@ def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
 def fdm_coefficients(order: int) -> Array:
     """Weights of the forward difference u'(t_n) ~ (1/h) sum_m mu_m u_{n+m}.
 
-    Exact for polynomials of degree ``order``; uses the order + 1 nodes
-    m = 0..order, solved exactly from the moment conditions
-    sum_m mu_m m^j = [j == 1] * j! for j = 0..order.
+    Exact for polynomials of degree p = ``order`` on the nodes m = 0..p:
+    the derivative at 0 of the interpolant, sum_{j=1}^{p} (-1)^{j+1}
+    Delta^j u_n / j, which gives mu_0 = -H_p (the p-th harmonic number)
+    and mu_m = (-1)^{m+1} C(p, m) / m.  Each is exact as a fraction and
+    rounded once.
     """
     if not 1 <= order <= 7:
         raise ValueError(f"difference order must be in 1..7, got {order}")
-    n = order + 1
-    a = [[Fraction(m) ** j for m in range(n)] for j in range(n)]
-    b = [Fraction(1) if j == 1 else Fraction(0) for j in range(n)]
-    mu = _solve_exact(a, b)
+    mu = [-sum(Fraction(1, m) for m in range(1, order + 1))]
+    mu += [Fraction((-1) ** (m + 1) * comb(order, m), m) for m in range(1, order + 1)]
     return np.array([float(v) for v in mu])
 
 

@@ -1,10 +1,10 @@
 """Equidistant trajectories and high-accuracy reference integration.
 
 Reference trajectories are produced by an 8th-order Runge-Kutta run at
-tolerances near rounding level (rtol = atol = 1e-13) with dense output
-evaluated on the requested uniform grid.  Grid times are generated by
-multiplication, t_n = t0 + n * h, never by repeated addition, so the
-grid is bitwise reproducible.
+tolerances near rounding level (rtol = atol = 1e-13); the integrator
+builds its interpolant only on the steps that hold a requested grid
+time.  Grid times are generated by multiplication, t_n = t0 + n * h,
+never by repeated addition, so the grid is bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -94,14 +94,17 @@ def integrate(field, x0, t0: float, t1: float, h: float) -> Trajectory:
     """
     n1 = grid_size(t0, t1, h)
     times = t0 + h * np.arange(n1 + 1)
-    states = integrate_at(field, x0, t0, t1, times)
-    return Trajectory(t0=float(t0), t1=float(t0 + n1 * h), h=float(h), states=states)
+    # the last grid time can pass t1 by an ulp; the run ends on the grid
+    states = integrate_at(field, x0, t0, times[-1], times)
+    return Trajectory(t0=float(t0), t1=float(times[-1]), h=float(h), states=states)
 
 
 def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     """Integrate dx/dt = field(x) over [t0, t1]; the states at ``times``.
 
-    Returns shape (len(times), d), read from the dense output.  Raises
+    Returns shape (len(times), d), one row per entry of ``times``, which
+    must lie in [t0, t1] and may repeat or come in any order.  Each state
+    is read from the interpolant of the step that holds its time.  Raises
     StepUnderflowError / NonFiniteStateError when the integrator gives
     up; stiff stretches that only reject steps are retried once with
     max_step = 1e-4 before failing.
@@ -109,11 +112,15 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite vector")
+    # the integrator takes strictly increasing times only
+    t_eval, rows = np.unique(np.asarray(times, dtype=np.float64), return_inverse=True)
+    if t_eval.size == 0:
+        raise ValueError("times must not be empty")
 
     def rhs(_t, y):
         return field(y)
 
-    kwargs = dict(method="DOP853", rtol=TOLERANCE, atol=TOLERANCE, dense_output=True)
+    kwargs = dict(method="DOP853", rtol=TOLERANCE, atol=TOLERANCE, t_eval=t_eval)
     sol = solve_ivp(rhs, (t0, t1), x0, **kwargs)
     if not sol.success:
         # One retry with a capped step handles fields with fast transients
@@ -125,7 +132,7 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
         if "step size" in msg.lower():
             raise StepUnderflowError(msg)
         raise IntegrationError(msg)
-    states = sol.sol(times).T
+    states = sol.y.T[rows]
     if not np.all(np.isfinite(states)):
         raise NonFiniteStateError("integration produced non-finite states")
     return states

@@ -180,6 +180,13 @@ class TestGronwallStudy:
         pairs = analysis.gronwall_study(field, field, [0.0], [3.0, 1.0, 2.0])
         assert [t for t, _ in pairs] == [1.0, 2.0, 3.0]
 
+    def test_repeated_horizon_repeats_its_row(self):
+        a = lambda y: np.array([-y[1], y[0]])  # noqa: E731
+        b = lambda y: np.array([-1.1 * y[1], y[0]])  # noqa: E731
+        pairs = analysis.gronwall_study(a, b, [1.0, 0.0], [2.0, 1.0, 2.0, 3.0])
+        assert pairs[1] == pairs[2]
+        assert pairs[:2] + pairs[3:] == analysis.gronwall_study(a, b, [1.0, 0.0], [1.0, 2.0, 3.0])
+
     def test_network_model_accepted(self):
         net = kan.init_network(2, 2, hidden=2, intervals=4, seed=3)
         as_field = lambda y: kan.forward(net, y)  # noqa: E731

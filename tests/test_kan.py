@@ -5,6 +5,7 @@ gradients against central finite differences, the sparse batch passes
 against dense basis tables, and the JSON model format against exact
 round trips and a catalogue of malformed documents.
 """
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -465,6 +466,53 @@ class TestBatchEvaluator:
                            *ev.backward(outer_view, upstream)))
         for c_order, bm in zip(*passes):
             npt.assert_array_equal(bm, c_order)
+
+    @pytest.mark.parametrize("budget", [1, 7, None])
+    @pytest.mark.parametrize("d_in,d_out,hidden,degree,intervals,n", [
+        (3, 2, 4, 1, 5, 7),
+        (2, 1, 5, 3, 8, 13),
+        (7, 7, 15, 5, 16, 33),
+        (1, 3, 2, 3, 3, 1),
+    ])
+    def test_blocked_gather_matches_one_block(self, d_in, d_out, hidden, degree, intervals,
+                                              n, budget, monkeypatch):
+        rng = np.random.default_rng(n)
+        net = random_net(rng, d_in, d_out, hidden, degree, intervals)
+        x = rng.uniform(-3.0, 1.0, size=(n, d_in))
+        upstream = rng.normal(size=(n, d_out))
+        # a hidden range inside the span of the sums clamps units at both ends
+        z = kan.BatchEvaluator(net, x).hidden_sums(net.inner_coeffs)
+        net = replace(net, hidden_lo=np.percentile(z, 25), hidden_hi=np.percentile(z, 75))
+        zraw = (z - net.hidden_lo) / (net.hidden_hi - net.hidden_lo)
+        assert np.any(zraw < 0.0) and np.any(zraw > 1.0)
+
+        def gradients():
+            ev = kan.BatchEvaluator(net, x)
+            ev.forward(net.inner_coeffs, net.outer_coeffs)
+            return ev.backward(net.outer_coeffs, upstream)
+
+        if budget is not None:  # blocks that split the samples unevenly
+            monkeypatch.setattr(kan, "GATHER_BLOCK", budget)
+        blocked = gradients()
+        monkeypatch.setattr(kan, "GATHER_BLOCK", 1 << 62)
+        for got, expected in zip(blocked, gradients()):
+            npt.assert_array_equal(got, expected)
+
+    def test_backward_peak_memory_at_opinion_scale(self):
+        # d = 50, hidden 101, G = 64, 101 samples: one gather of every
+        # sample's outer coefficients would take 16 MB on its own
+        rng = np.random.default_rng(0)
+        net = kan.init_network(50, 50, hidden=101, intervals=64, seed=0)
+        ev = kan.BatchEvaluator(net, rng.uniform(0.0, 1.0, size=(101, 50)))
+        ev.forward(net.inner_coeffs, net.outer_coeffs)
+        upstream = rng.normal(size=(101, 50))
+        tracemalloc.start()
+        try:
+            grads = ev.backward(net.outer_coeffs, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(g.nbytes for g in grads)
 
     def test_nan_coefficients_give_nan_outputs(self):
         # NaN hidden sums reach the outer basis; they must propagate, not index out of range

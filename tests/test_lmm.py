@@ -247,6 +247,15 @@ class TestFdmCoefficients:
         npt.assert_array_equal(lmm.fdm_coefficients(3), expected3)
 
     @pytest.mark.parametrize("order", range(1, 8))
+    def test_closed_form_matches_moment_solve(self, order):
+        # sum_m mu_m m^j = [j == 1] for j = 0..order, solved over the rationals
+        n = order + 1
+        a = [[Fraction(m) ** j for m in range(n)] for j in range(n)]
+        b = [Fraction(int(j == 1)) for j in range(n)]
+        expected = [float(v) for v in lmm._solve_exact(a, b)]
+        npt.assert_array_equal(lmm.fdm_coefficients(order), expected)
+
+    @pytest.mark.parametrize("order", range(1, 8))
     def test_exact_on_polynomials(self, order):
         # (1/h) sum mu_m u(t + m h) reproduces u'(t) for deg <= order
         mu = lmm.fdm_coefficients(order)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from kanlmm import odeint
-from kanlmm.systems import linear_system
+from kanlmm.systems import linear_system, opinion_system
 
 
 def test_zero_field_constant_trajectory():
@@ -30,6 +30,49 @@ def test_grid_times_are_exact_multiples():
     traj = odeint.integrate(lambda s: np.zeros(1), [0.0], 0.0, 0.7, 0.1)
     expected = 0.0 + 0.1 * np.arange(8)
     npt.assert_array_equal(traj.times, expected)
+
+
+def dense_reference(field, x0, t0, t1, times):
+    """States read from the interpolant of every step of one DOP853 run."""
+    sol = solve_ivp(lambda _t, y: field(y), (t0, t1), x0, method="DOP853",
+                    rtol=odeint.TOLERANCE, atol=odeint.TOLERANCE, dense_output=True)
+    return sol.sol(times).T
+
+
+@pytest.mark.parametrize("sysd,t1,h", [
+    (linear_system(), 1.0, 1e-2),
+    (opinion_system(dim=8), 1.0, 1e-2),
+    (opinion_system(dim=8, seed=22), 5.0, 0.05),
+])
+def test_states_equal_dense_output(sysd, t1, h):
+    # each grid time is read from the interpolant of the step holding it
+    traj = odeint.integrate(sysd.field, sysd.x0, 0.0, t1, h)
+    assert traj.times[-1] == t1
+    npt.assert_array_equal(traj.states,
+                           dense_reference(sysd.field, sysd.x0, 0.0, t1, traj.times))
+
+
+def test_grid_end_past_t1_is_integrated_to():
+    # 3 * 0.1 > 0.3: the run ends on the last grid time, an ulp past t1
+    sysd = linear_system()
+    traj = odeint.integrate(sysd.field, sysd.x0, 0.0, 0.3, 0.1)
+    assert traj.times[-1] > 0.3 and traj.t1 == traj.times[-1]
+    expected = dense_reference(sysd.field, sysd.x0, 0.0, 0.3, traj.times)
+    npt.assert_array_equal(traj.states[:-1], expected[:-1])
+    npt.assert_allclose(traj.states[-1], expected[-1], rtol=4e-16, atol=0.0)
+
+
+def test_integrate_at_keeps_order_and_repeats():
+    sysd = linear_system()
+    times = np.array([0.5, 0.25, 0.5, 1.0, 0.0])
+    got = odeint.integrate_at(sysd.field, sysd.x0, 0.0, 1.0, times)
+    npt.assert_array_equal(got, dense_reference(sysd.field, sysd.x0, 0.0, 1.0, times))
+
+
+@pytest.mark.parametrize("times", [[0.5, 1.5], [-0.5], []])
+def test_integrate_at_rejects_times_outside_the_run(times):
+    with pytest.raises(ValueError):
+        odeint.integrate_at(lambda s: s, [1.0], 0.0, 1.0, times)
 
 
 def test_tolerance_tightening_is_converged():
