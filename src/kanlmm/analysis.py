@@ -36,8 +36,8 @@ class HolderSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.lam <= 0 or self.radius <= 0:
-            raise ValueError("lam and radius must be positive")
+        if not (0.0 < self.lam < math.inf and 0.0 < self.radius < math.inf):
+            raise ValueError("lam and radius must be positive and finite")
 
     def omega(self, r: float) -> float:
         """Modulus of continuity omega(r) = lam * r**alpha."""
@@ -70,6 +70,18 @@ def _check_bound_args(k: int, g: int, n_hidden: int, d: int):
         raise ValueError("k, G, N, d must all be >= 1")
 
 
+def _check_lipschitz(lipschitz: float):
+    if not 0.0 <= lipschitz < math.inf:
+        raise ValueError(f"lipschitz constant must be nonnegative and finite, got {lipschitz}")
+
+
+def _finite(bound: float) -> float:
+    """``bound`` itself; a bound that overflowed is no bound and raises."""
+    if not math.isfinite(bound):
+        raise ValueError(f"upper bound overflows to {bound} for these parameters")
+    return bound
+
+
 def _mesh_term(k: int, g: int) -> float:
     """min{ sqrt(2)/sqrt(k-1), sqrt(1/3) * sqrt(k)/G }; only the G branch at k=1.
 
@@ -91,19 +103,18 @@ def upper_bound(holder: HolderSpec, k: int, g: int, n_hidden: int, d: int,
     G, linear in N.
     """
     _check_bound_args(k, g, n_hidden, d)
-    if lipschitz < 0:
-        raise ValueError("lipschitz constant must be nonnegative")
+    _check_lipschitz(lipschitz)
     mesh = _mesh_term(k, g)
-    return holder.lam * n_hidden * (lipschitz * d + 1.0) * holder.radius ** holder.alpha * mesh ** holder.alpha
+    return _finite(holder.lam * n_hidden * (lipschitz * d + 1.0)
+                   * holder.radius ** holder.alpha * mesh ** holder.alpha)
 
 
 def upper_bound_unit_box(holder: HolderSpec, k: int, g: int, n_hidden: int, d: int,
                          lipschitz: float) -> float:
     """Unit-box variant: N * (L*d + 1) * omega(mesh_term)."""
     _check_bound_args(k, g, n_hidden, d)
-    if lipschitz < 0:
-        raise ValueError("lipschitz constant must be nonnegative")
-    return n_hidden * (lipschitz * d + 1.0) * holder.omega(_mesh_term(k, g))
+    _check_lipschitz(lipschitz)
+    return _finite(n_hidden * (lipschitz * d + 1.0) * holder.omega(_mesh_term(k, g)))
 
 
 def vc_lower_bound_shape(k: int, g: int, n_hidden: int, d: int, alpha: float) -> float:

@@ -393,7 +393,7 @@ def deserialize(text: str) -> KanNetwork:
         hidden_range = [float(v) for v in doc["hidden_range"]]
         inner = np.asarray(doc["inner_coeffs"], dtype=np.float64)
         outer = np.asarray(doc["outer_coeffs"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model document has malformed fields: {exc}") from None
     if input_range.shape != (d_in, 2) or len(hidden_range) != 2:
         raise ModelFormatError("model ranges do not match the declared dimensions")

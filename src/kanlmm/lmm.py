@@ -1,8 +1,8 @@
 """Linear multistep schemes and their discovery-side bookkeeping.
 
 Coefficients for the Adams-Bashforth, Adams-Moulton, and backward
-differentiation families are generated from the order conditions with
-exact rational arithmetic and converted to floats once at the end.
+differentiation families are their closed-form backward-difference
+expansions, kept as exact fractions and converted to floats once.
 Scheme convention, with x_n the state at t_n and f the field:
 
     (1/h) * sum_{m=0}^{M} alpha_m x_{n-m} = sum_{m=0}^{M} beta_m f(x_{n-m})
@@ -67,65 +67,25 @@ class LmmScheme:
         return self.beta[m_min : m_max + 1][::-1].copy()
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with partial pivoting over the rationals."""
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular order-condition system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def _adams_beta(steps: int, implicit: bool) -> list[Fraction]:
+    """Adams beta over offsets 0..steps, exact, from the difference form.
 
-
-def _order_condition_row(alpha: list[Fraction], beta: list[Fraction], j: int) -> Fraction:
-    """Residual of the j-th order condition for given exact coefficients.
-
-    Condition: sum_m alpha_m (-m)^j = j * sum_m beta_m (-m)^(j-1), with
-    the j = 0 case reading sum_m alpha_m = 0.
+    x_n - x_{n-1} = h sum_j gamma_j nabla^j f_k with k = n, j = 0..steps
+    (AM) or k = n - 1, j = 0..steps - 1 (AB); gamma solves
+    sum_{i<=j} gamma_i / (j + 1 - i) = [j == 0] (AM) or 1 (AB), and
+    nabla^j f_k = sum_m (-1)^m C(j, m) f_{k-m}.
     """
-    lhs = sum(a * Fraction(-m) ** j for m, a in enumerate(alpha))
-    if j == 0:
-        return lhs
-    rhs = j * sum(b * Fraction(-m) ** (j - 1) for m, b in enumerate(beta))
-    return lhs - rhs
-
-
-def _generate_exact(family: str, steps: int) -> tuple[list[Fraction], list[Fraction], int]:
-    m = steps
-    zero, one = Fraction(0), Fraction(1)
-    if family == "ab":
-        # alpha fixed to x_n - x_{n-1}; solve p = M conditions for beta_1..beta_M.
-        alpha = [one, -one] + [zero] * (m - 1)
-        p = m
-        a = [[Fraction(-mm) ** (j - 1) for mm in range(1, m + 1)] for j in range(1, p + 1)]
-        b = [sum(al * Fraction(-mm) ** j for mm, al in enumerate(alpha)) / j for j in range(1, p + 1)]
-        beta_tail = _solve_exact(a, b)
-        beta = [zero] + beta_tail
-    elif family == "am":
-        # Same alpha, beta_0 free: p = M + 1 conditions for beta_0..beta_M.
-        alpha = [one, -one] + [zero] * (m - 1)
-        p = m + 1
-        a = [[Fraction(-mm) ** (j - 1) for mm in range(0, m + 1)] for j in range(1, p + 1)]
-        b = [sum(al * Fraction(-mm) ** j for mm, al in enumerate(alpha)) / j for j in range(1, p + 1)]
-        beta = _solve_exact(a, b)
-    else:
-        # BDF: beta = e_0; alpha from p = M conditions plus consistency
-        # sum alpha = 0, normalized so the f coefficient is 1.  With only
-        # beta_0 nonzero the rhs is 1 for j = 1 and 0 otherwise.
-        beta = [one] + [zero] * m
-        p = m
-        a = [[Fraction(-mm) ** j for mm in range(0, m + 1)] for j in range(0, p + 1)]
-        b = [zero, one] + [zero] * (p - 1)
-        alpha = _solve_exact(a, b)
-    return alpha, beta, p
+    shift = int(not implicit)
+    gamma: list[Fraction] = []
+    for j in range(steps + 1 - shift):
+        # a Fraction, not an int: int / int would make every gamma a float
+        rhs = Fraction(j == 0 or not implicit)
+        gamma.append(rhs - sum(g / (j + 1 - i) for i, g in enumerate(gamma)))
+    beta = [Fraction(0)] * (steps + 1)
+    for j, g in enumerate(gamma):
+        for m in range(j + 1):
+            beta[shift + m] += (-1) ** m * comb(j, m) * g
+    return beta
 
 
 def scheme(family: str, steps: int) -> LmmScheme:
@@ -134,23 +94,23 @@ def scheme(family: str, steps: int) -> LmmScheme:
     AB is explicit of order ``steps``; AM is implicit of order
     ``steps + 1``; BDF is implicit of order ``steps``.  Steps are
     supported for 1..6 (beyond 6 the BDF members lose zero-stability and
-    the classical tables stop).
+    the classical tables stop).  BDF-M is (1/h) sum_{j=1}^{M} nabla^j x_n / j
+    = f_n, whose alpha is the negated start-up weights ``fdm_coefficients``.
     """
     fam = family.lower()
     if fam not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
-    alpha, beta, p = _generate_exact(fam, steps)
-    assert all(_order_condition_row(alpha, beta, j) == 0 for j in range(p + 1))
-    assert alpha[0] > 0
-    return LmmScheme(
-        family=fam,
-        steps=steps,
-        alpha=np.array([float(a) for a in alpha]),
-        beta=np.array([float(b) for b in beta]),
-        order=p,
-    )
+    if fam == "bdf":
+        alpha, beta = -fdm_coefficients(steps), np.zeros(steps + 1)
+        beta[0] = 1.0
+    else:
+        alpha = np.zeros(steps + 1)
+        alpha[:2] = 1.0, -1.0
+        beta = np.array([float(b) for b in _adams_beta(steps, fam == "am")])
+    return LmmScheme(family=fam, steps=steps, alpha=alpha, beta=beta,
+                     order=steps + (fam == "am"))
 
 
 def all_schemes() -> list[LmmScheme]:

@@ -32,7 +32,9 @@ class TestHolderSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.5}, {"alpha": 0.5, "lam": 0.0},
-        {"alpha": 0.5, "radius": -1.0},
+        {"alpha": 0.5, "radius": -1.0}, {"alpha": 0.5, "lam": math.nan},
+        {"alpha": 0.5, "lam": math.inf}, {"alpha": 0.5, "radius": math.nan},
+        {"alpha": 0.5, "radius": math.inf}, {"alpha": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -84,6 +86,10 @@ class TestUpperBound:
             analysis.upper_bound(hs, 0, 4, 1, 1, 1.0)
         with pytest.raises(ValueError):
             analysis.upper_bound(hs, 3, 4, 1, 1, -1.0)
+        for bound in (analysis.upper_bound, analysis.upper_bound_unit_box):
+            for lipschitz in (math.nan, math.inf, 1e308):  # 1e308 overflows L*d
+                with pytest.raises(ValueError):
+                    bound(hs, 3, 4, 1, 2, lipschitz)
 
 
 class TestVcShape:

@@ -256,24 +256,30 @@ class TestPredict:
         assert rc == cli.EXIT_MODEL
 
 
-def set_entry(doc, key, index, value):
-    entry = doc[key]
-    for i in index[:-1]:
+def set_entry(doc, path, value):
+    entry = doc
+    for i in path[:-1]:
         entry = entry[i]
-    entry[index[-1]] = value
+    entry[path[-1]] = value
 
 
+INT_FIELDS = ["d_in", "N", "d_out", "k", "G"]
+
+
+# json reads an overflowing literal such as "k": 1e400 as inf, like the Infinity written here
 @pytest.mark.parametrize("command", ["predict", "bounds"])
-@pytest.mark.parametrize("key,index,value", [
-    ("inner_coeffs", (0, 0, 0), math.nan),
-    ("outer_coeffs", (1, 0, 2), math.inf),
-    ("input_range", (0, 0), math.nan),
-    ("hidden_range", (1,), math.inf),
-], ids=["nan-inner-coeff", "inf-outer-coeff", "nan-input-range", "inf-hidden-range"])
+@pytest.mark.parametrize("path,value", [
+    (("inner_coeffs", 0, 0, 0), math.nan),
+    (("outer_coeffs", 1, 0, 2), math.inf),
+    (("input_range", 0, 0), math.nan),
+    (("hidden_range", 1), math.inf),
+    *[((key,), sign * math.inf) for key in INT_FIELDS for sign in (1, -1)],
+], ids=["nan-inner-coeff", "inf-outer-coeff", "nan-input-range", "inf-hidden-range",
+        *[f"{sign}inf-{key}" for key in INT_FIELDS for sign in "+-"]])
 def test_non_finite_model_is_model_error(model_json, tmp_path, capsys, command,
-                                         key, index, value):
+                                         path, value):
     doc = json.loads(model_json.read_text())
-    set_entry(doc, key, index, value)
+    set_entry(doc, path, value)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -307,6 +313,18 @@ class TestBounds:
 
     def test_bad_holder_alpha(self):
         assert run_cli("bounds", "--d", "2", "--alpha", "0") == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lipschitz", "nan"), ("--lipschitz", "inf"), ("--lipschitz", "1e308"),
+        ("--lam", "nan"), ("--lam", "inf"), ("--radius", "nan"), ("--radius", "inf"),
+        ("--alpha", "nan"),
+    ])
+    def test_non_finite_parameters_are_usage_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bounds.json"
+        rc = run_cli("bounds", "--d", "2", flag, value, "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "solve-grid"])

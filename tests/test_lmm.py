@@ -1,9 +1,11 @@
 """Multistep scheme tests.
 
 Coefficient oracles are the classical printed tables (entered as exact
-rationals); order behaviour is checked against the moment conditions
-restated independently here and against empirical truncation slopes on
-a closed-form trajectory.
+rationals) and, for every scheme, an independent reference: the moment
+conditions solved here by Gaussian elimination over the rationals and
+rounded once, which the closed-form tables must equal bitwise.  Order
+behaviour is also checked against empirical truncation slopes on a
+closed-form trajectory.
 """
 from fractions import Fraction
 
@@ -48,6 +50,60 @@ ORDER_FIT_STEPS = {
     6: [1 / 160, 1 / 112, 1 / 80, 1 / 56],
     7: [1 / 160, 1 / 112, 1 / 80, 1 / 56],
 }
+
+
+def solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Gaussian elimination with partial pivoting over the rationals."""
+    n = len(b)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def moment_solve(family: str, steps: int) -> tuple[list[Fraction], list[Fraction], int]:
+    """Exact alpha, beta and order p from the moment conditions.
+
+    Order p means sum_m alpha_m (-m)^j = j sum_m beta_m (-m)^(j-1) for
+    j = 1..p and sum_m alpha_m = 0.  Adams fixes alpha to x_n - x_{n-1}
+    and solves for beta_1..beta_M (AB, p = M) or beta_0..beta_M (AM,
+    p = M + 1); BDF fixes beta = e_0 and solves for alpha (p = M).
+    """
+    zero, one = Fraction(0), Fraction(1)
+    if family == "bdf":
+        beta = [one] + [zero] * steps
+        a = [[Fraction(-m) ** j for m in range(steps + 1)] for j in range(steps + 1)]
+        alpha = solve_exact(a, [zero, one] + [zero] * (steps - 1))
+        return alpha, beta, steps
+    alpha = [one, -one] + [zero] * (steps - 1)
+    first = int(family == "ab")
+    p = steps + 1 - first
+    a = [[Fraction(-m) ** (j - 1) for m in range(first, steps + 1)] for j in range(1, p + 1)]
+    b = [sum(al * Fraction(-m) ** j for m, al in enumerate(alpha)) / j for j in range(1, p + 1)]
+    beta = [zero] * first + solve_exact(a, b)
+    return alpha, beta, p
+
+
+@pytest.mark.parametrize("family", lmm.FAMILIES)
+@pytest.mark.parametrize("steps", range(1, 7))
+def test_closed_form_equals_moment_solve(family, steps):
+    alpha, beta, p = moment_solve(family, steps)
+    for j in range(p + 1):  # the reference itself meets every condition
+        lhs = sum(al * Fraction(-m) ** j for m, al in enumerate(alpha))
+        rhs = j * sum(be * Fraction(-m) ** (j - 1) for m, be in enumerate(beta)) if j else 0
+        assert lhs == rhs, f"j={j}"
+    assert alpha[0] > 0
+    sch = lmm.scheme(family, steps)
+    assert sch.alpha.tobytes() == np.array([float(v) for v in alpha]).tobytes()
+    assert sch.beta.tobytes() == np.array([float(v) for v in beta]).tobytes()
+    assert sch.order == p and type(sch.order) is int
 
 
 @pytest.mark.parametrize("family,steps", sorted(CLASSICAL_BETA))
@@ -252,7 +308,7 @@ class TestFdmCoefficients:
         n = order + 1
         a = [[Fraction(m) ** j for m in range(n)] for j in range(n)]
         b = [Fraction(int(j == 1)) for j in range(n)]
-        expected = [float(v) for v in lmm._solve_exact(a, b)]
+        expected = [float(v) for v in solve_exact(a, b)]
         npt.assert_array_equal(lmm.fdm_coefficients(order), expected)
 
     @pytest.mark.parametrize("order", range(1, 8))
