@@ -7,6 +7,10 @@ fully pins down a run.  Its keys are the subcommand's option names
 (``out_dir`` for ``--out-dir``); each value is parsed as that option's
 flag would be, and unknown keys are rejected.
 
+``train --report`` writes every ``training.TrainReport`` field, so a
+field added to the report reaches the JSON with no edit here.  Tables
+and reports are written by ``odeint.write_csv`` and ``odeint.write_json``.
+
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 integration failure
 or a singular or unstable grid-value system (solve-grid writes nothing
 then), 5 model-document error, 6 training divergence.
@@ -14,6 +18,7 @@ then), 5 model-document error, 6 training divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -71,19 +76,6 @@ def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
     return flags
 
 
-def _write_grid_csv(path, times, states, fhat, ftrue=None) -> None:
-    d = states.shape[1]
-    header = (["t"] + [f"x{i+1}" for i in range(d)] + [f"fhat{i+1}" for i in range(d)]
-              + ([f"ftrue{i+1}" for i in range(d)] if ftrue is not None else []))
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for n in range(states.shape[0]):
-            row = [times[n], *states[n], *fhat[n]]
-            if ftrue is not None:
-                row.extend(ftrue[n])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def cmd_gen(args) -> int:
     sys_def = _system_from_args(args)
     x0 = _parse_vector(args.x0) if args.x0 else sys_def.x0
@@ -113,19 +105,20 @@ def cmd_solve_grid(args) -> int:
     sl = slice(window.r, window.q + 1)
     times = traj.times[sl]
     states = traj.states[sl]
-    ftrue = None
+    columns = {"x": states, "fhat": fhat}
     if args.system:
         sys_def = _system_from_args(args)
         if sys_def.dim != traj.dim:
             raise ValueError(f"system dimension {sys_def.dim} != trajectory dim {traj.dim}")
-        ftrue = np.apply_along_axis(sys_def.field, 1, states)
-    _write_grid_csv(args.out, times, states, fhat, ftrue)
+        columns["ftrue"] = np.apply_along_axis(sys_def.field, 1, states)
+    header = ["t"] + [f"{name}{i + 1}" for name in columns for i in range(traj.dim)]
+    odeint.write_csv(args.out, header, np.column_stack([times, *columns.values()]))
     estimate = (" (power-iteration estimate; can read about 1e-3 low)"
                 if window.tau > discovery.DENSE_LIMIT else "")
     print(f"wrote {args.out}: window [{window.r}, {window.q}], tau = {window.tau}, "
           f"kappa2 = {kappa:.6g}{estimate}")
-    if ftrue is not None:
-        print(f"max grid error vs true field: {np.max(np.abs(fhat - ftrue)):.6g}")
+    if "ftrue" in columns:
+        print(f"max grid error vs true field: {np.max(np.abs(fhat - columns['ftrue'])):.6g}")
     return EXIT_OK
 
 
@@ -144,20 +137,9 @@ def cmd_train(args) -> int:
         true_field = sys_def.field
     net, report = training.train(config, traj, true_field=true_field)
     kan.save_model(net, args.out)
-    doc = {
-        "config": report.config,
-        "final_loss": report.final_loss,
-        "best_loss": report.best_loss,
-        "best_iteration": report.best_iteration,
-        "wall_clock_s": report.wall_clock_s,
-        "seminorm_error": report.seminorm_error,
-        "seminorm_error_components": report.seminorm_error_components,
-        "loss_trace": report.loss_trace.tolist(),
-    }
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        odeint.write_json(args.report,
+                          {**dataclasses.asdict(report), "loss_trace": report.loss_trace.tolist()})
     print(f"wrote {args.out}: best loss {report.best_loss:.6g} "
           f"at iteration {report.best_iteration}, final loss {report.final_loss:.6g}")
     if report.seminorm_error is not None:
@@ -191,15 +173,13 @@ def cmd_bounds(args) -> int:
     print(f"  vc_lower_bound_shape  = {report.vc_shape:.10g}   (modulo unknown constant)")
     print(f"  note: {report.notes}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({
-                "upper_bound": report.upper_bound,
-                "upper_bound_unit_box": report.upper_bound_unit_box,
-                "vc_lower_bound_shape": report.vc_shape,
-                "inputs": report.inputs,
-                "notes": report.notes,
-            }, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        odeint.write_json(args.out, {
+            "upper_bound": report.upper_bound,
+            "upper_bound_unit_box": report.upper_bound_unit_box,
+            "vc_lower_bound_shape": report.vc_shape,
+            "inputs": report.inputs,
+            "notes": report.notes,
+        })
     return EXIT_OK
 
 

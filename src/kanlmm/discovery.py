@@ -143,17 +143,18 @@ def condition_number(system: GridSystem, dense_limit: int = DENSE_LIMIT) -> floa
     return float(np.sqrt(sigma_max) * np.sqrt(sigma_min_inv))
 
 
-def _power_iterate(op, n: int, rng, iters: int = 200, tol: float = 1e-10) -> float:
+def _power_iterate(op, n: int, rng) -> float:
+    """Largest eigenvalue of ``op`` on R^n: at most 200 power steps, to relative change 1e-10."""
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         w = op(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v_new = w / nw
-        if abs(nw - lam) <= tol * max(nw, 1.0):
+        if abs(nw - lam) <= 1e-10 * max(nw, 1.0):
             return nw
         lam, v = nw, v_new
     return lam

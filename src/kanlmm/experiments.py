@@ -13,7 +13,6 @@ systems.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +20,6 @@ import numpy as np
 from . import analysis, discovery, kan, lmm, odeint, systems, training
 
 EXPERIMENT_NAMES = ("scheme-sweep", "kg-sweep", "gronwall", "glycolytic", "opinion")
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _scheme_sweep(out: Path, quick: bool, seed: int) -> dict:
@@ -56,9 +42,9 @@ def _scheme_sweep(out: Path, quick: bool, seed: int) -> dict:
             results.append({"family": fam, "steps": m,
                             "seminorm_error": report.seminorm_error,
                             "best_loss": report.best_loss})
-    _write_rows(out / "scheme_sweep.csv",
-                ["family", "steps", "seminorm_error", "best_loss"],
-                [(r["family"], r["steps"], r["seminorm_error"], r["best_loss"]) for r in results])
+    odeint.write_csv(out / "scheme_sweep.csv", ["family", "steps", "seminorm_error", "best_loss"],
+                     [(r["family"], r["steps"], r["seminorm_error"], r["best_loss"])
+                      for r in results])
     return {
         "h": h,
         "iterations": iters,
@@ -104,10 +90,9 @@ def _kg_sweep(out: Path, quick: bool, seed: int) -> dict:
         logg = np.log([r["G"] for r in sub])
         loge = np.log([r["seminorm_error"] for r in sub])
         slopes[str(k)] = float(-np.polyfit(logg, loge, 1)[0])
-    _write_rows(out / "kg_sweep.csv",
-                ["k", "G", "seminorm_error", "upper_bound", "lipschitz"],
-                [(r["k"], r["G"], r["seminorm_error"], r["upper_bound"], r["lipschitz"])
-                 for r in results])
+    odeint.write_csv(out / "kg_sweep.csv", ["k", "G", "seminorm_error", "upper_bound", "lipschitz"],
+                     [(r["k"], r["G"], r["seminorm_error"], r["upper_bound"], r["lipschitz"])
+                      for r in results])
     return {
         "h": h,
         "iterations": iters,
@@ -131,7 +116,7 @@ def _gronwall(out: Path, quick: bool, seed: int) -> dict:
     horizons = list(range(1, 11))
     table = analysis.gronwall_study(net, sys_def.field, sys_def.x0, horizons)
     slope, corr = analysis.fit_log_linear([t for t, _ in table], [e for _, e in table])
-    _write_rows(out / "gronwall.csv", ["T", "linf_error"], table)
+    odeint.write_csv(out / "gronwall.csv", ["T", "linf_error"], table)
     return {
         "h": h,
         "iterations": iters,
@@ -197,9 +182,8 @@ def _opinion(out: Path, quick: bool, seed: int) -> dict:
                      "seminorm_error": report.seminorm_error,
                      "components_start": systems.opinion_component_count(traj.states[0]),
                      "components_end": systems.opinion_component_count(traj.states[-1])})
-    _write_rows(out / "opinion.csv",
-                ["d", "linf_error", "seminorm_error"],
-                [(r["d"], r["linf_error"], r["seminorm_error"]) for r in rows])
+    odeint.write_csv(out / "opinion.csv", ["d", "linf_error", "seminorm_error"],
+                     [(r["d"], r["linf_error"], r["seminorm_error"]) for r in rows])
     return {
         "h": h,
         "t_end": t_end,
@@ -235,5 +219,5 @@ def run(name: str, out_dir, quick: bool = True, seed: int = 0) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     summary = runner(out, quick, seed)
     summary.update(experiment=name, quick=quick)
-    _write_json(out / "summary.json", summary)
+    odeint.write_json(out / "summary.json", summary)
     return summary

@@ -365,8 +365,8 @@ def serialize(net: KanNetwork) -> str:
     return json.dumps(to_document(net), indent=1)
 
 
-_DOCUMENT_KEYS = {"version", "d_in", "N", "d_out", "k", "G",
-                  "input_range", "hidden_range", "inner_coeffs", "outer_coeffs"}
+_INTEGER_KEYS = ("version", "d_in", "N", "d_out", "k", "G")
+_DOCUMENT_KEYS = {*_INTEGER_KEYS, "input_range", "hidden_range", "inner_coeffs", "outer_coeffs"}
 
 
 def deserialize(text: str) -> KanNetwork:
@@ -382,13 +382,16 @@ def deserialize(text: str) -> KanNetwork:
     extra = set(doc) - _DOCUMENT_KEYS
     if extra:
         raise ModelFormatError(f"model document has unknown keys: {sorted(extra)}")
+    # exactly int: bool subclasses int, and a float or a string is no count
+    not_int = [key for key in _INTEGER_KEYS if type(doc[key]) is not int]
+    if not_int:
+        raise ModelFormatError(f"model document fields {not_int} must be JSON integers")
     if doc["version"] != MODEL_VERSION:
         raise ModelVersionError(
             f"unsupported model version {doc['version']!r}, expected {MODEL_VERSION}"
         )
+    d_in, n, d_out, k, g = (doc[key] for key in _INTEGER_KEYS[1:])
     try:
-        d_in, n, d_out = int(doc["d_in"]), int(doc["N"]), int(doc["d_out"])
-        k, g = int(doc["k"]), int(doc["G"])
         input_range = np.asarray(doc["input_range"], dtype=np.float64)
         hidden_range = [float(v) for v in doc["hidden_range"]]
         inner = np.asarray(doc["inner_coeffs"], dtype=np.float64)

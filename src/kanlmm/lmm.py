@@ -141,8 +141,10 @@ def residual(sch: LmmScheme, times: Array, states: Array, field) -> Array:
     return b - system_matrix(sch, n1)[w.aux_count:] @ fvals
 
 
-def empirical_order(sch: LmmScheme, field, solution, h_list, t0: float = 0.0, t1: float = 1.0) -> float:
+def empirical_order(sch: LmmScheme, field, solution, h_list) -> float:
     """Fitted log-log slope of the max residual norm against step size.
+
+    Each step size h runs the scheme on the grid t_n = n*h over [0, 1].
 
     ``solution(ts)`` must return exact states (len(ts), d); the residual
     of the exact solution is the truncation error, so the slope should
@@ -155,8 +157,7 @@ def empirical_order(sch: LmmScheme, field, solution, h_list, t0: float = 0.0, t1
         raise ValueError("step sizes must be positive")
     errs = []
     for h in hs:
-        n1 = int(round((t1 - t0) / h))
-        ts = t0 + h * np.arange(n1 + 1)
+        ts = h * np.arange(int(round(1.0 / h)) + 1)
         states = np.asarray(solution(ts), dtype=np.float64)
         r = residual(sch, ts, states, field)
         errs.append(np.max(np.abs(r)))

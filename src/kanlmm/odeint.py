@@ -5,10 +5,14 @@ tolerances near rounding level (rtol = atol = 1e-13); the integrator
 builds its interpolant only on the steps that hold a requested grid
 time.  Grid times are generated by multiplication, t_n = t0 + n * h,
 never by repeated addition, so the grid is bitwise reproducible.
+
+The module also hosts the package's writers: ``write_csv`` for every
+CSV table and ``write_json`` for every JSON report.
 """
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,31 +142,41 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     return states
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the header line, then one ``\\n``-ended line per row.
+
+    Floats get 17 significant digits, so they read back exactly, and any
+    other value ``str``.  A numpy row becomes Python numbers row by row.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if isinstance(row, np.ndarray):
+                row = row.tolist()
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with one-space indents, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV: header ``t,x1,...,xd``, 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.dim)])
-        times = traj.times
-        for n in range(traj.n_steps + 1):
-            writer.writerow([f"{times[n]:.17g}"] + [f"{v:.17g}" for v in traj.states[n]])
+    """Write a trajectory as a ``write_csv`` table with header ``t,x1,...,xd``."""
+    header = ["t"] + [f"x{i + 1}" for i in range(traj.dim)]
+    write_csv(path, header, np.column_stack([traj.times, traj.states]))
 
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by save_trajectory (or any equidistant CSV)."""
     with open(path, newline="") as fh:
-        return _read_csv(fh)
-
-
-def _read_csv(fh) -> Trajectory:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty trajectory file") from None
-    if not header or header[0].strip() != "t":
-        raise ValueError("trajectory CSV must start with a 't,x1,...' header")
-    rows = [list(map(float, row)) for row in reader if row]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0].strip() != "t":
+            raise ValueError("trajectory CSV must start with a 't,x1,...' header")
+        rows = [list(map(float, row)) for row in reader if row]
     if len(rows) < 2:
         raise ValueError("trajectory must contain at least 2 samples")
     data = np.asarray(rows, dtype=np.float64)

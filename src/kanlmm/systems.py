@@ -16,6 +16,8 @@ from scipy.sparse import csr_matrix
 
 Array = npt.NDArray[np.float64]
 
+OPINION_INIT_RANGE = (0.0, 10.0)  # initial opinions are uniform on this interval
+
 GLYCOLYTIC_PARAMS: dict[str, float] = {
     "J0": 2.5,
     "k1": 100.0,
@@ -120,7 +122,6 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
 
 
 def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
-                   init_range: tuple[float, float] = (0.0, 10.0),
                    t_train: tuple[float, float] = (0.0, 10.0)) -> SystemDef:
     """Bounded-confidence opinion model with ``dim`` scalar agents.
 
@@ -128,7 +129,7 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
     bounded-confidence weights a_ij = phi_ij / sum_k phi_ik, where
     phi_ij = 1 when |x_j - x_i| <= 1.  The normalizer sums over all k
     including i, so it is at least 1 for a finite state.  Initial opinions
-    are drawn uniformly from ``init_range`` with a seeded generator so
+    are drawn uniformly from ``OPINION_INIT_RANGE`` with a seeded generator so
     every run of a given (dim, seed) pair sees identical data.
     """
     if dim < 2:
@@ -136,7 +137,7 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
-    x0 = rng.uniform(init_range[0], init_range[1], size=dim)
+    x0 = rng.uniform(*OPINION_INIT_RANGE, size=dim)
 
     def field(x: Array) -> Array:
         # Summed in pair-difference form so equal opinions give an exact
@@ -154,7 +155,7 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
         field=field,
         x0=x0,
         t_train=t_train,
-        params={"alpha": alpha, "seed": seed, "init_range": tuple(init_range)},
+        params={"alpha": alpha, "seed": seed, "init_range": OPINION_INIT_RANGE},
     )
 
 

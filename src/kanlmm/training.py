@@ -138,13 +138,13 @@ class ResidualStencil:
         return float(np.sum(res ** 2)) / self.norm, grad
 
 
-def input_range_from_states(states: Array, margin: float = INPUT_MARGIN) -> Array:
-    """Per-coordinate (lo, hi) of the data, padded by ``margin`` of the span."""
+def input_range_from_states(states: Array) -> Array:
+    """Per-coordinate (lo, hi) of the data, padded by ``INPUT_MARGIN`` of the span."""
     lo = states.min(axis=0)
     hi = states.max(axis=0)
     span = hi - lo
     flat = span < 1e-12
-    pad = np.where(flat, 0.5, margin * span)
+    pad = np.where(flat, 0.5, INPUT_MARGIN * span)
     return np.column_stack([lo - pad, hi + pad])
 
 

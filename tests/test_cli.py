@@ -3,6 +3,7 @@
 Covers every subcommand, the documented exit codes, and the rule that a
 config file overrides command-line flags.
 """
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kanlmm import analysis, cli, kan, odeint
+from kanlmm import analysis, cli, kan, odeint, training
 
 
 def run_cli(*argv):
@@ -129,6 +130,15 @@ class TestTrain:
         assert doc["config"]["intervals"] == 4
         assert doc["seminorm_error"] is not None
         assert "seminorm" in capsys.readouterr().out
+
+    def test_report_holds_every_report_field(self, traj_csv, tmp_path):
+        report = tmp_path / "r.json"
+        rc = run_cli("train", "--data", str(traj_csv), *TRAIN_QUICK, "--seed", "3",
+                     "--out", str(tmp_path / "m.json"), "--report", str(report))
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        assert set(doc) == {f.name for f in dataclasses.fields(training.TrainReport)}
+        assert doc["seed"] == 3 and doc["seminorm_error"] is None
 
     def test_model_bytes_reproducible(self, traj_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -264,6 +274,9 @@ def set_entry(doc, path, value):
 
 
 INT_FIELDS = ["d_in", "N", "d_out", "k", "G"]
+# integer fields holding a float, a string, a bool or null; the model has d_in=2, N=2, k=3, G=4
+NOT_INTEGERS = [("k", 3.7), ("G", 4.9), ("N", "2"), ("d_in", 2.0), ("version", True),
+                ("version", 1.0), ("version", "1"), ("d_out", None)]
 
 
 # json reads an overflowing literal such as "k": 1e400 as inf, like the Infinity written here
@@ -274,8 +287,10 @@ INT_FIELDS = ["d_in", "N", "d_out", "k", "G"]
     (("input_range", 0, 0), math.nan),
     (("hidden_range", 1), math.inf),
     *[((key,), sign * math.inf) for key in INT_FIELDS for sign in (1, -1)],
+    *[((key,), value) for key, value in NOT_INTEGERS],
 ], ids=["nan-inner-coeff", "inf-outer-coeff", "nan-input-range", "inf-hidden-range",
-        *[f"{sign}inf-{key}" for key in INT_FIELDS for sign in "+-"]])
+        *[f"{sign}inf-{key}" for key in INT_FIELDS for sign in "+-"],
+        *[f"{key}={json.dumps(value)}" for key, value in NOT_INTEGERS]])
 def test_non_finite_model_is_model_error(model_json, tmp_path, capsys, command,
                                          path, value):
     doc = json.loads(model_json.read_text())

@@ -139,6 +139,21 @@ def test_csv_header_and_shape(tmp_path):
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert lines[0] == "t,x1,x2"
     assert len(lines) == 4
+    # the exact bytes: \n line ends, floats at 17 significant digits
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"t,x1,x2\n0,1,2\n0.10000000000000001,1,2\n0.20000000000000001,1,2\n")
+
+
+def test_crlf_file_loads_bitwise(tmp_path):
+    """Trajectory files with csv.writer's \\r\\n line ends read back unchanged."""
+    sysd = linear_system()
+    traj = odeint.integrate(sysd.field, sysd.x0, 0.0, 1.0, 0.05)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    odeint.save_trajectory(traj, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    back, ref = odeint.load_trajectory(crlf), odeint.load_trajectory(lf)
+    assert back.states.tobytes() == traj.states.tobytes()
+    assert (back.t0, back.t1, back.h) == (ref.t0, ref.t1, ref.h)
 
 
 def test_load_rejects_bad_files(tmp_path):
