@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from . import kan as kan_mod
 from .kan import KanNetwork
 from .odeint import integrate_at
 
@@ -52,7 +51,7 @@ class BoundsReport:
 
     upper_bound: float
     upper_bound_unit_box: float
-    vc_shape: float
+    vc_lower_bound_shape: float
     inputs: dict
     notes: str
 
@@ -155,7 +154,7 @@ def bounds_report(holder: HolderSpec, k: int, g: int, n_hidden: int, d: int,
     return BoundsReport(
         upper_bound=upper_bound(holder, k, g, n_hidden, d, lipschitz),
         upper_bound_unit_box=upper_bound_unit_box(holder, k, g, n_hidden, d, lipschitz),
-        vc_shape=vc_lower_bound_shape(k, g, n_hidden, d, holder.alpha),
+        vc_lower_bound_shape=vc_lower_bound_shape(k, g, n_hidden, d, holder.alpha),
         inputs={
             "k": k, "G": g, "N": n_hidden, "d": d,
             "L": lipschitz, "alpha": holder.alpha, "lam": holder.lam,
@@ -189,29 +188,24 @@ def lipschitz_estimate(net: KanNetwork) -> float:
     <= a_m ||x - y||_2 with a_m = sum_j L_out[m, j] ||L_in[j, :]||_2, so
     ||a||_2 bounds ||y(x) - y(y)||_2 / ||x - y||_2 everywhere.
     """
-    l_in = _edge_slopes(net.inner_basis, net.inner_coeffs) / (net.input_hi - net.input_lo)
-    l_out = _edge_slopes(net.outer_basis, net.outer_coeffs) / (net.hidden_hi - net.hidden_lo)
+    l_in = _edge_slopes(net.basis, net.inner_coeffs) / (net.input_hi - net.input_lo)
+    l_out = _edge_slopes(net.basis, net.outer_coeffs) / (net.hidden_hi - net.hidden_lo)
     return float(np.linalg.norm(l_out @ np.linalg.norm(l_in, axis=1)))
 
 
 def gronwall_study(model, field, x0, t_list):
     """Max-norm state discrepancy between two fields at each horizon.
 
-    ``model`` may be a KanNetwork or any state->derivative callable; both
-    fields are integrated once over [0, max(t_list)] and compared exactly
-    at the listed times.  Returns a list of (T, error) pairs.
+    ``model`` and ``field`` are state->derivative callables, such as
+    ``kan.field(net)``; both are integrated once over [0, max(t_list)] and
+    compared exactly at the listed times.  Returns a list of (T, error) pairs.
     """
     t_list = sorted(float(t) for t in t_list)
     if not t_list or t_list[0] <= 0:
         raise ValueError("horizons must be positive")
-    if isinstance(model, KanNetwork):
-        net = model
-        model_field = lambda y: kan_mod.forward(net, y)  # noqa: E731
-    else:
-        model_field = model
     t_max = t_list[-1]
     ref = integrate_at(field, x0, 0.0, t_max, t_list)
-    learned = integrate_at(model_field, x0, 0.0, t_max, t_list)
+    learned = integrate_at(model, x0, 0.0, t_max, t_list)
     gaps = np.max(np.abs(ref - learned), axis=1)
     return [(t, float(e)) for t, e in zip(t_list, gaps)]
 

@@ -7,8 +7,9 @@ fully pins down a run.  Its keys are the subcommand's option names
 (``out_dir`` for ``--out-dir``); each value is parsed as that option's
 flag would be, and unknown keys are rejected.
 
-``train --report`` writes every ``training.TrainReport`` field, so a
-field added to the report reaches the JSON with no edit here.  Tables
+``train --report`` and ``bounds --out`` write every field of
+``training.TrainReport`` and ``analysis.BoundsReport``, so a field added
+to a report reaches the JSON with no edit here.  Tables
 and reports are written by ``odeint.write_csv`` and ``odeint.write_json``.
 
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 integration failure
@@ -41,11 +42,21 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ValueError(f"expected a comma-separated number list, got {text!r}") from None
 
 
-def _system_from_args(args) -> systems.SystemDef:
+def _system_from_args(args, seed: int = 0) -> systems.SystemDef:
     name = args.system.lower()
     if name == "opinion":
-        return systems.opinion_system(dim=args.dim, alpha=args.alpha, seed=args.seed)
+        return systems.opinion_system(dim=args.dim, alpha=args.alpha, seed=seed)
     return systems.by_name(name)
+
+
+def _true_field(args, traj: odeint.Trajectory):
+    """The field of the ``--system`` that ``traj`` samples, or None without one."""
+    if not args.system:
+        return None
+    sys_def = _system_from_args(args)  # no seed: it draws only the opinion x0
+    if sys_def.dim != traj.dim:
+        raise ValueError(f"system dimension {sys_def.dim} != trajectory dim {traj.dim}")
+    return sys_def.field
 
 
 def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
@@ -77,7 +88,7 @@ def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
 
 
 def cmd_gen(args) -> int:
-    sys_def = _system_from_args(args)
+    sys_def = _system_from_args(args, args.seed)
     x0 = _parse_vector(args.x0) if args.x0 else sys_def.x0
     if x0.shape != (sys_def.dim,):
         raise ValueError(f"x0 must have {sys_def.dim} components, got {x0.shape[0]}")
@@ -106,11 +117,9 @@ def cmd_solve_grid(args) -> int:
     times = traj.times[sl]
     states = traj.states[sl]
     columns = {"x": states, "fhat": fhat}
-    if args.system:
-        sys_def = _system_from_args(args)
-        if sys_def.dim != traj.dim:
-            raise ValueError(f"system dimension {sys_def.dim} != trajectory dim {traj.dim}")
-        columns["ftrue"] = np.apply_along_axis(sys_def.field, 1, states)
+    true_field = _true_field(args, traj)
+    if true_field is not None:
+        columns["ftrue"] = np.apply_along_axis(true_field, 1, states)
     header = ["t"] + [f"{name}{i + 1}" for name in columns for i in range(traj.dim)]
     odeint.write_csv(args.out, header, np.column_stack([times, *columns.values()]))
     estimate = (" (power-iteration estimate; can read about 1e-3 low)"
@@ -129,13 +138,7 @@ def cmd_train(args) -> int:
         hidden=args.hidden, learning_rate=args.lr, iterations=args.iters,
         seed=args.seed, loss_kind=args.loss,
     )
-    true_field = None
-    if args.system:
-        sys_def = _system_from_args(args)
-        if sys_def.dim != traj.dim:
-            raise ValueError(f"system dimension {sys_def.dim} != trajectory dim {traj.dim}")
-        true_field = sys_def.field
-    net, report = training.train(config, traj, true_field=true_field)
+    net, report = training.train(config, traj, true_field=_true_field(args, traj))
     kan.save_model(net, args.out)
     if args.report:
         odeint.write_json(args.report,
@@ -152,7 +155,7 @@ def cmd_predict(args) -> int:
     x0 = _parse_vector(args.x0)
     if x0.shape != (net.d_in,):
         raise ValueError(f"x0 must have {net.d_in} components, got {x0.shape[0]}")
-    traj = odeint.integrate(lambda y: kan.forward(net, y), x0, args.t0, args.t1, args.h)
+    traj = odeint.integrate(kan.field(net), x0, args.t0, args.t1, args.h)
     odeint.save_trajectory(traj, args.out)
     print(f"wrote {args.out}: {traj.n_steps + 1} samples over [{traj.t0:g}, {traj.t1:g}]")
     return EXIT_OK
@@ -170,16 +173,11 @@ def cmd_bounds(args) -> int:
         print(f"  {key} = {value}")
     print(f"  upper_bound           = {report.upper_bound:.10g}")
     print(f"  upper_bound_unit_box  = {report.upper_bound_unit_box:.10g}")
-    print(f"  vc_lower_bound_shape  = {report.vc_shape:.10g}   (modulo unknown constant)")
+    print(f"  vc_lower_bound_shape  = {report.vc_lower_bound_shape:.10g}"
+          "   (modulo unknown constant)")
     print(f"  note: {report.notes}")
     if args.out:
-        odeint.write_json(args.out, {
-            "upper_bound": report.upper_bound,
-            "upper_bound_unit_box": report.upper_bound_unit_box,
-            "vc_lower_bound_shape": report.vc_shape,
-            "inputs": report.inputs,
-            "notes": report.notes,
-        })
+        odeint.write_json(args.out, dataclasses.asdict(report))
     return EXIT_OK
 
 
@@ -228,7 +226,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="known system for a ftrue comparison column")
     p.add_argument("--dim", type=int, default=50, help="agent count (opinion only)")
     p.add_argument("--alpha", type=float, default=1.0, help="interaction scale (opinion only)")
-    p.add_argument("--seed", type=int, default=0, help="system seed (opinion only)")
     p.add_argument("--out", required=True)
 
     p = add("train", cmd_train, "fit a spline network to a trajectory")

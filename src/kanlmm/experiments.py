@@ -114,7 +114,7 @@ def _gronwall(out: Path, quick: bool, seed: int) -> dict:
                                   iterations=iters, seed=seed)
     net, report = training.train(config, traj, true_field=sys_def.field)
     horizons = list(range(1, 11))
-    table = analysis.gronwall_study(net, sys_def.field, sys_def.x0, horizons)
+    table = analysis.gronwall_study(kan.field(net), sys_def.field, sys_def.x0, horizons)
     slope, corr = analysis.fit_log_linear([t for t, _ in table], [e for _, e in table])
     odeint.write_csv(out / "gronwall.csv", ["T", "linf_error"], table)
     return {
@@ -141,7 +141,7 @@ def _glycolytic(out: Path, quick: bool, seed: int) -> dict:
                                   iterations=iters, seed=seed)
     net, report = training.train(config, traj, true_field=sys_def.field)
     kan.save_model(net, out / "model.json")
-    learned = odeint.integrate(lambda y: kan.forward(net, y), sys_def.x0, 0.0, t_pred, h)
+    learned = odeint.integrate(kan.field(net), sys_def.x0, 0.0, t_pred, h)
     reference_long = odeint.integrate(sys_def.field, sys_def.x0, 0.0, t_pred, h)
     odeint.save_trajectory(learned, out / "learned.csv")
     n_train = traj.n_steps
@@ -176,7 +176,7 @@ def _opinion(out: Path, quick: bool, seed: int) -> dict:
         config = training.TrainConfig(family="am", steps=1, degree=3, intervals=g,
                                       iterations=iters, seed=seed)
         net, report = training.train(config, traj, true_field=sys_def.field)
-        learned = odeint.integrate(lambda y: kan.forward(net, y), sys_def.x0, 0.0, t_end, h)
+        learned = odeint.integrate(kan.field(net), sys_def.x0, 0.0, t_end, h)
         linf = float(np.max(np.abs(learned.states - traj.states)))
         rows.append({"d": d, "linf_error": linf,
                      "seminorm_error": report.seminorm_error,

@@ -4,10 +4,10 @@ The network computes, for input x in R^d_in,
 
     y_m = sum_j phi_out[m,j]( z_j ),    z_j = sum_i phi_in[j,i]( x_i ),
 
-where every phi is a spline sum_q c_q B_q(.) over a shared basis per
-layer.  Input coordinates are affinely rescaled from their data range
-into the inner basis domain [0, 1]; hidden sums are rescaled into [0, 1]
-over a range calibrated once at initialization, so both bases stay
+where every phi is a spline sum_q c_q B_q(.) over one basis, which both
+layers share.  Input coordinates are affinely rescaled from their data
+range into the basis domain [0, 1]; hidden sums are rescaled into [0, 1]
+over a range calibrated once at initialization, so the basis stays
 static during training.  Inputs falling outside either range are
 clamped, extending the splines as constants.
 
@@ -62,8 +62,7 @@ class KanNetwork:
     the finiteness check; the coefficients stay writable for ``flat_view``.
     """
 
-    inner_basis: BSplineBasis
-    outer_basis: BSplineBasis
+    basis: BSplineBasis
     input_lo: Array
     input_hi: Array
     hidden_lo: float
@@ -83,8 +82,8 @@ class KanNetwork:
         d_out, hidden2, p_out = self.outer_coeffs.shape
         if hidden2 != hidden:
             raise ValueError("inner and outer coefficient arrays disagree on hidden width")
-        if p_in != self.inner_basis.size or p_out != self.outer_basis.size:
-            raise ValueError("coefficient vectors must match their basis size")
+        if p_in != self.basis.size or p_out != self.basis.size:
+            raise ValueError("coefficient vectors must match the basis size")
         if self.input_lo.shape != (d_in,) or self.input_hi.shape != (d_in,):
             raise ValueError("input_range must provide one (lo, hi) pair per input")
         numbers = (self.input_lo, self.input_hi, self.hidden_lo, self.hidden_hi,
@@ -108,15 +107,18 @@ class KanNetwork:
 
     @property
     def degree(self) -> int:
-        return self.inner_basis.degree
+        return self.basis.degree
 
     @property
     def intervals(self) -> int:
-        return self.inner_basis.intervals
+        return self.basis.intervals
 
     @property
     def n_params(self) -> int:
         return self.inner_coeffs.size + self.outer_coeffs.size
+
+    # read-only aliases of ``basis``; the benchmark harness is their only reader
+    inner_basis = outer_basis = property(lambda self: self.basis)
 
 
 def _output_minor(coeffs) -> Array:
@@ -212,8 +214,7 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     outer, _ = affine_edges(np.sqrt(6.0 / hidden), (d_out, hidden))
 
     return KanNetwork(
-        inner_basis=basis, outer_basis=basis,
-        input_lo=lo, input_hi=hi,
+        basis=basis, input_lo=lo, input_hi=hi,
         hidden_lo=hidden_lo, hidden_hi=hidden_hi,
         inner_coeffs=inner, outer_coeffs=outer,
     )
@@ -259,7 +260,7 @@ class BatchEvaluator:
             raise ValueError("batch contains non-finite samples")
         self.net = net
         xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
-        self._inner, _ = _basis_matrix(net.inner_basis, xhat)
+        self._inner, _ = _basis_matrix(net.basis, xhat)
         self.hidden_slope = 1.0 / (net.hidden_hi - net.hidden_lo)
         self._outer = None
         self._outer_derivs = None
@@ -272,7 +273,7 @@ class BatchEvaluator:
     def forward(self, inner_coeffs: Array, outer_coeffs: Array) -> Array:
         zraw = (self.hidden_sums(inner_coeffs) - self.net.hidden_lo) * self.hidden_slope
         self._inside = (zraw > 0.0) & (zraw < 1.0)
-        self._outer, self._outer_derivs = _basis_matrix(self.net.outer_basis,
+        self._outer, self._outer_derivs = _basis_matrix(self.net.basis,
                                                         np.clip(zraw, 0.0, 1.0))
         return self._outer @ outer_coeffs.reshape(outer_coeffs.shape[0], -1).T
 
@@ -306,6 +307,15 @@ def forward(net: KanNetwork, x) -> Array:
     batch = x[None, :] if single else x
     out = BatchEvaluator(net, batch).forward(net.inner_coeffs, net.outer_coeffs)
     return out[0] if single else out
+
+
+def field(net: KanNetwork):
+    """The network as a state -> derivative callable: ``forward`` at one point.
+
+    Callers must not change the network's coefficients while they use the
+    field, so that its body may evaluate a snapshot of them.
+    """
+    return lambda y: forward(net, y)
 
 
 def gradient(net: KanNetwork, x, upstream) -> Array:
@@ -403,10 +413,8 @@ def deserialize(text: str) -> KanNetwork:
     if inner.shape != (n, d_in, g + k) or outer.shape != (d_out, n, g + k):
         raise ModelFormatError("coefficient arrays do not match the declared shape")
     try:
-        basis = make_basis(k, g)
         return KanNetwork(
-            inner_basis=basis, outer_basis=basis,
-            input_lo=input_range[:, 0], input_hi=input_range[:, 1],
+            basis=make_basis(k, g), input_lo=input_range[:, 0], input_hi=input_range[:, 1],
             hidden_lo=hidden_range[0], hidden_hi=hidden_range[1],
             inner_coeffs=inner, outer_coeffs=outer,
         )

@@ -205,7 +205,7 @@ def train(config: TrainConfig, traj: Trajectory,
     evaluator = BatchEvaluator(net, traj.states)
     params = (kan.flat_view(net.inner_coeffs), kan.flat_view(net.outer_coeffs))
     lr = config.learning_rate
-    steps = (lr * ((net.hidden_hi - net.hidden_lo) / (net.outer_basis.intervals * net.d_in)), lr)
+    steps = (lr * ((net.hidden_hi - net.hidden_lo) / (net.intervals * net.d_in)), lr)
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     scratch = np.empty((2, min(ADAM_BLOCK, max(p.size for p in params))))

@@ -211,7 +211,7 @@ def test_criterion_07_end_to_end_linear(acceptance_log, trained_linear_model):
 def test_criterion_08_gronwall_growth(acceptance_log, trained_linear_model):
     net, _, sysd, _ = trained_linear_model
     t0 = time.perf_counter()
-    table = analysis.gronwall_study(net, sysd.field, sysd.x0, list(range(1, 11)))
+    table = analysis.gronwall_study(kan.field(net), sysd.field, sysd.x0, list(range(1, 11)))
     slope, corr = analysis.fit_log_linear([t for t, _ in table],
                                           [e for _, e in table])
     ok = slope > 0.0 and corr >= 0.9

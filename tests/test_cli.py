@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kanlmm import analysis, cli, kan, odeint, training
+from kanlmm import analysis, cli, kan, odeint, systems, training
 
 
 def run_cli(*argv):
@@ -92,6 +92,27 @@ class TestSolveGrid:
         assert run_cli("solve-grid", "--data", str(data), "--out", str(out)) == 0
         line = capsys.readouterr().out.strip()
         assert "tau = 2501" in line and "power-iteration estimate" in line
+
+    def test_opinion_reference_field_needs_no_seed(self, tmp_path):
+        data, out = tmp_path / "opinion.csv", tmp_path / "grid.csv"
+        assert run_cli("gen", "--system", "opinion", "--dim", "4", "--seed", "3",
+                       "--h", "0.05", "--t1", "1", "--out", str(data)) == 0
+        assert run_cli("solve-grid", "--data", str(data), "--system", "opinion",
+                       "--dim", "4", "--out", str(out)) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        # the opinion field depends on dim and alpha only, not on the seed
+        expected = np.apply_along_axis(systems.opinion_system(dim=4).field, 1, table[:, 1:5])
+        npt.assert_array_equal(table[:, 9:13], expected)
+        with pytest.raises(SystemExit):
+            run_cli("solve-grid", "--data", str(data), "--seed", "3", "--out", str(out))
+
+    def test_system_dimension_must_match_data(self, traj_csv, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        rc = run_cli("solve-grid", "--data", str(traj_csv), "--system", "opinion",
+                     "--dim", "7", "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        assert "system dimension 7 != trajectory dim 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_without_reference_field(self, traj_csv, tmp_path):
         out = tmp_path / "grid.csv"
@@ -319,6 +340,7 @@ class TestBounds:
         doc = json.loads(out.read_text())
         assert doc["upper_bound"] == pytest.approx(15.0 / 64.0, rel=1e-12)
         assert doc["inputs"]["P_pieces"] == 66
+        assert set(doc) == {f.name for f in dataclasses.fields(analysis.BoundsReport)}
 
     def test_lipschitz_from_model(self, model_json, capsys):
         rc = run_cli("bounds", "--d", "2", "--model", str(model_json))

@@ -6,7 +6,7 @@ against dense basis tables, and the JSON model format against exact
 round trips and a catalogue of malformed documents.
 """
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -24,13 +24,13 @@ def naive_forward(net: kan.KanNetwork, x: np.ndarray) -> np.ndarray:
         for i in range(net.d_in):
             xh = (x[i] - net.input_lo[i]) / (net.input_hi[i] - net.input_lo[i])
             xh = min(max(xh, 0.0), 1.0)
-            b = eval_basis(net.inner_basis, np.array([xh]))[0]
+            b = eval_basis(net.basis, np.array([xh]))[0]
             z[j] += float(net.inner_coeffs[j, i] @ b)
     for m in range(net.d_out):
         for j in range(net.hidden):
             zh = (z[j] - net.hidden_lo) / (net.hidden_hi - net.hidden_lo)
             zh = min(max(zh, 0.0), 1.0)
-            b = eval_basis(net.outer_basis, np.array([zh]))[0]
+            b = eval_basis(net.basis, np.array([zh]))[0]
             out[m] += float(net.outer_coeffs[m, j] @ b)
     return out
 
@@ -127,6 +127,16 @@ def test_output_is_linear_in_outer_coefficients():
                         rtol=1e-12, atol=1e-13)
 
 
+def test_field_is_forward_at_one_point():
+    net = kan.init_network(2, 3, hidden=4, seed=5,
+                           input_range=np.array([[0.0, 1.0], [-1.0, 2.0]]))
+    f = kan.field(net)
+    # inside the box, outside it, and on its top edge
+    for y in ([0.3, 0.7], [-5.0, 9.0], [1.0, 2.0], [0.5, 2.0]):
+        y = np.array(y)
+        assert f(y).tobytes() == kan.forward(net, y).tobytes()
+
+
 def test_out_of_range_inputs_clamp_to_boundary_values():
     net = kan.init_network(2, 2, hidden=3, seed=7,
                            input_range=np.array([[0.0, 1.0], [-1.0, 2.0]]))
@@ -158,14 +168,14 @@ class TestInit:
     def test_edges_start_affine_inside_bound(self):
         net = kan.init_network(3, 2, hidden=6, degree=3, intervals=9, seed=4)
         u = np.linspace(0.0, 1.0, 11)
-        for coeffs, basis, bound in ((net.inner_coeffs, net.inner_basis, np.sqrt(6.0 / 5.0)),
-                                     (net.outer_coeffs, net.outer_basis, np.sqrt(6.0 / 6.0))):
+        for coeffs, bound in ((net.inner_coeffs, np.sqrt(6.0 / 5.0)),
+                              (net.outer_coeffs, np.sqrt(6.0 / 6.0))):
             assert np.max(np.abs(coeffs)) <= bound
             # Greville abscissae are evenly spaced away from the clamped
             # ends, so coefficients on a line have zero second differences
             npt.assert_allclose(np.diff(coeffs[..., 2:-2], n=2, axis=-1), 0.0, atol=1e-14)
             # and every edge function is affine in its rescaled input
-            edge_vals = coeffs @ eval_basis(basis, u).T
+            edge_vals = coeffs @ eval_basis(net.basis, u).T
             npt.assert_allclose(np.diff(edge_vals, n=2, axis=-1), 0.0, atol=1e-14)
 
     def test_seed_determinism(self):
@@ -305,8 +315,8 @@ class TestLayout:
         # C order, and the output-minor layout itself
         for inner, outer in ((net.inner_coeffs.copy(), net.outer_coeffs.copy()),
                              (net.inner_coeffs, net.outer_coeffs)):
-            built = kan.KanNetwork(net.inner_basis, net.outer_basis, net.input_lo,
-                                   net.input_hi, net.hidden_lo, net.hidden_hi, inner, outer)
+            built = kan.KanNetwork(net.basis, net.input_lo, net.input_hi,
+                                   net.hidden_lo, net.hidden_hi, inner, outer)
             assert not np.shares_memory(built.inner_coeffs, inner)
             assert not np.shares_memory(built.outer_coeffs, outer)
             assert_output_minor(built)
@@ -328,6 +338,34 @@ class TestLayout:
         net = kan.init_network(2, 2, hidden=3, seed=0)
         with pytest.raises(ValueError, match="output-minor"):
             kan.flat_view(np.ascontiguousarray(net.inner_coeffs))
+
+
+class TestOneBasis:
+    def test_one_basis_field(self):
+        assert [f.name for f in fields(kan.KanNetwork)] == [
+            "basis", "input_lo", "input_hi", "hidden_lo", "hidden_hi",
+            "inner_coeffs", "outer_coeffs"]
+
+    @pytest.mark.parametrize("build", ["init_network", "deserialize", "direct"])
+    def test_layers_share_the_basis_and_round_trip(self, build):
+        net = kan.init_network(2, 3, hidden=4, degree=2, intervals=5, seed=8)
+        if build == "deserialize":
+            net = kan.deserialize(kan.serialize(net))
+        elif build == "direct":
+            net = kan.KanNetwork(net.basis, net.input_lo, net.input_hi, net.hidden_lo,
+                                 net.hidden_hi, net.inner_coeffs, net.outer_coeffs)
+        assert net.inner_basis is net.outer_basis is net.basis
+        assert (net.degree, net.intervals) == (2, 5)
+        text = kan.serialize(net)
+        assert kan.serialize(kan.deserialize(text)) == text
+
+    def test_coefficients_must_match_the_basis(self):
+        net = kan.init_network(2, 2, hidden=3, degree=3, intervals=4, seed=0)
+        wider = np.zeros((2, 3, 10))  # a degree-2, G = 8 outer layer
+        with pytest.raises(ValueError, match="basis size"):
+            replace(net, outer_coeffs=wider)
+        with pytest.raises(ValueError, match="basis size"):
+            replace(net, inner_coeffs=np.zeros((3, 2, 10)))
 
 
 class TestSerialization:
@@ -393,12 +431,12 @@ class TestSerialization:
 def dense_reference(net: kan.KanNetwork, x: np.ndarray, upstream: np.ndarray):
     """Forward values and both gradients from dense basis tables and einsum."""
     xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
-    inner_vals = eval_basis(net.inner_basis, xhat.ravel()).reshape(*x.shape, -1)
+    inner_vals = eval_basis(net.basis, xhat.ravel()).reshape(*x.shape, -1)
     z = np.einsum("biq,jiq->bj", inner_vals, net.inner_coeffs)
     zraw = ((z - net.hidden_lo) / (net.hidden_hi - net.hidden_lo)).ravel()
     # eval_basis clamps, and eval_basis_derivative is zero outside [0, 1]
-    outer_vals = eval_basis(net.outer_basis, zraw).reshape(*z.shape, -1)
-    outer_derivs = eval_basis_derivative(net.outer_basis, zraw).reshape(*z.shape, -1)
+    outer_vals = eval_basis(net.basis, zraw).reshape(*z.shape, -1)
+    outer_derivs = eval_basis_derivative(net.basis, zraw).reshape(*z.shape, -1)
     u = np.einsum("bjq,mjq->bm", outer_vals, net.outer_coeffs)
     grad_outer = np.einsum("bm,bjq->mjq", upstream, outer_vals)
     dz = np.einsum("bm,mjq,bjq->bj", upstream, net.outer_coeffs, outer_derivs)
