@@ -112,16 +112,20 @@ def greville_abscissae(basis: BSplineBasis) -> Array:
     return np.array([t[q + 1 : q + k + 1].mean() for q in range(basis.size)])
 
 
-def eval_local(basis: BSplineBasis, x: Array) -> tuple[Array, Array, Array]:
+def eval_local(basis: BSplineBasis, x: Array, span: Array, vals: Array, derivs: Array,
+               work: Array) -> None:
     """Nonzero basis values and first derivatives at points in ``[0, 1]``.
 
-    Returns ``(span, vals, derivs)``: ``span`` (n,) is the index of the
-    knot interval ``[t_span, t_span+1)`` holding each point, and ``vals``
-    and ``derivs`` (n, k+1) hold functions ``span-k .. span``, the only
-    ones nonzero there.  In knot units t = G x the piece is ``s =
-    min(floor(t), G - 1)`` and ``span = s + k``: half-open spans give
-    right-limit values at interior knots, and the top knot belongs to the
-    last piece so partition of unity holds on the closed domain.
+    Writes into arrays the caller gives, so that a batch evaluated again
+    refills the same memory: ``span`` (n,) of an integer type gets the
+    index of the knot interval ``[t_span, t_span+1)`` holding each point,
+    and ``vals`` and ``derivs`` (n, k+1) the values and derivatives of
+    functions ``span-k .. span``, the only ones nonzero there.  ``work``
+    (2k+1, n) is scratch; it, ``vals`` and ``derivs`` are C-contiguous
+    float64.  In knot units t = G x the piece is ``s = min(floor(t), G -
+    1)`` and ``span = s + k``: half-open spans give right-limit values at
+    interior knots, and the top knot belongs to the last piece so
+    partition of unity holds on the closed domain.
 
     Both come from ``basis.power``: with ``c = t - s - 1/2``, values are
     ``[1, c, .., c^k]`` times the piece's table and derivatives ``[1, 2c,
@@ -131,32 +135,43 @@ def eval_local(basis: BSplineBasis, x: Array) -> tuple[Array, Array, Array]:
     rest gather theirs.
     """
     k, g = basis.degree, basis.intervals
-    t = x * g
+    powers, slopes = work[: k + 1], work[k + 1 :]
+    t = np.multiply(x, g, out=powers[1])
     # t >= 0, so truncation is the floor; t <= G keeps c <= 1/2.  The
     # lower bound only catches NaN, which then gives NaN values, not an
     # out-of-range index.
-    piece = np.clip(t.astype(np.intp), 0, g - 1)
-    powers = np.empty((k + 1, x.shape[0]))
+    np.copyto(span, t, casting="unsafe")
+    np.minimum(span, g - 1, out=span)
+    np.maximum(span, 0, out=span)
     powers[0] = 1.0
-    np.subtract(t, piece, out=powers[1])
+    powers[1] -= span
     powers[1] -= 0.5
     for j in range(2, k + 1):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
-    slopes = powers[:k] * (np.arange(1, k + 1) * g)[:, None]
+    np.multiply(powers[:k], (np.arange(1, k + 1) * g)[:, None], out=slopes)
     # below G = 2k - 1 no piece is cardinal and every row is an edge row
     shared = basis.power[min(k - 1, g - 1)]
-    vals = powers.T @ shared
-    derivs = slopes.T @ shared[1:]
-    edge = np.flatnonzero((piece < k - 1) | (piece > g - k))
-    rows = basis.power[piece[edge]]
-    vals[edge] = np.einsum("jn,njr->nr", powers.take(edge, axis=1), rows)
-    derivs[edge] = np.einsum("jn,njr->nr", slopes.take(edge, axis=1), rows[:, 1:])
+    np.matmul(powers.T, shared, out=vals)
+    np.matmul(slopes.T, shared[1:], out=derivs)
+    edge = np.flatnonzero((span < k - 1) | (span > g - k))
+    if edge.size:
+        rows = basis.power[span[edge]]
+        vals[edge] = np.einsum("jn,njr->nr", powers.take(edge, axis=1), rows)
+        derivs[edge] = np.einsum("jn,njr->nr", slopes.take(edge, axis=1), rows[:, 1:])
+    span += k
     # At the top knot only the last function is nonzero, and it is 1; the
     # power form leaves rounding there that can put a value below zero.
     top = np.flatnonzero(x >= 1.0)
     vals[top] = 0.0
     vals[top, k] = 1.0
-    return piece + k, vals, derivs
+
+
+def _local(basis: BSplineBasis, x: Array) -> tuple[Array, Array, Array]:
+    """``(span, vals, derivs)`` of ``eval_local`` in fresh arrays."""
+    n, k = x.shape[0], basis.degree
+    span, vals, derivs = np.empty(n, dtype=np.intp), np.empty((n, k + 1)), np.empty((n, k + 1))
+    eval_local(basis, x, span, vals, derivs, np.empty((2 * k + 1, n)))
+    return span, vals, derivs
 
 
 def _scatter(basis: BSplineBasis, span: Array, local: Array) -> Array:
@@ -186,7 +201,7 @@ def eval_basis(basis: BSplineBasis, x) -> Array:
     Returns shape ``(size,)`` for scalar input, else ``(len(x), size)``.
     """
     pts, scalar = _clean_input(x)
-    span, vals, _ = eval_local(basis, pts)
+    span, vals, _ = _local(basis, pts)
     dense = _scatter(basis, span, vals)
     return dense[0] if scalar else dense
 
@@ -200,7 +215,7 @@ def eval_basis_derivative(basis: BSplineBasis, x) -> Array:
     ``[0, 1]``.
     """
     pts, scalar = _clean_input(x)
-    span, _, derivs = eval_local(basis, pts)
+    span, _, derivs = _local(basis, pts)
     raw = np.atleast_1d(np.asarray(x, dtype=np.float64))
     derivs[(raw < 0.0) | (raw > 1.0)] = 0.0
     dense = _scatter(basis, span, derivs)

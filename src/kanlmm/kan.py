@@ -21,6 +21,12 @@ array, as the sparse basis products read and write it.  ``flat_view``
 gives that memory as one vector, so training updates a network in place;
 no other module knows the order.  The flat parameter vector is still
 inner_coeffs.ravel() followed by outer_coeffs.ravel(), in C order.
+
+``BatchEvaluator`` runs the passes over a fixed batch.  It holds each
+layer's basis as a sparse matrix with a fixed sparsity structure: the
+outer one is refilled in place on every ``forward``, which returns a
+fresh output array.  All its per-point arrays are allocated once, so one
+evaluator serves one forward/backward sequence at a time.
 """
 from __future__ import annotations
 
@@ -220,36 +226,59 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     )
 
 
-def _basis_matrix(basis: BSplineBasis, points: Array) -> tuple[sparse.csr_array, Array]:
-    """Basis of one layer at n samples of d clamped inputs, as a sparse matrix.
+def _basis_pattern(basis: BSplineBasis, n: int, d: int) -> sparse.csr_array:
+    """A CSR matrix (n, d * size) holding k+1 entries per input in every row.
 
-    Returns the CSR matrix (n, d * size) whose row b holds the k+1 nonzero
+    Every row has d * (k+1) entries, so ``indptr`` is fixed and only
+    ``data`` and ``indices`` change; ``_fill_basis`` writes them in place.
+    Until then a row holds zeros in its first d * (k+1) columns: a valid
+    matrix.
+    """
+    width = d * (basis.degree + 1)
+    return sparse.csr_array((np.zeros(n * width), np.arange(n * width) % width,
+                             np.arange(n + 1) * width), shape=(n, d * basis.size))
+
+
+def _fill_basis(basis: BSplineBasis, points: Array, matrix: sparse.csr_array, derivs: Array,
+                span: Array, work: Array) -> None:
+    """Write one layer's basis at n samples of d clamped inputs into ``matrix``.
+
+    ``matrix`` comes from ``_basis_pattern``.  Row b gets the k+1 nonzero
     basis values of every input of sample b, input i's in columns
     i * size + span - k .. i * size + span; the blocks follow the inputs,
     so the column indices of a row ascend without a sort.  Multiplied by
     the layer's coefficients reshaped (outputs, d * size) and transposed,
-    it gives the layer's sums.  Also returns the matching derivatives
-    (n, d, k+1).
+    it gives the layer's sums.  ``derivs`` (n, d, k+1) gets the matching
+    derivatives; ``span`` (n * d,) and ``work`` (2k+1, n * d) are scratch.
     """
     n, d = points.shape
-    k, size = basis.degree, basis.size
-    span, vals, derivs = eval_local(basis, points.ravel())
-    cols = (span.reshape(n, d) - k + size * np.arange(d))[:, :, None] + np.arange(k + 1)
-    rows = np.arange(n + 1) * (d * (k + 1))
-    matrix = sparse.csr_array((vals.ravel(), cols.ravel(), rows), shape=(n, d * size))
-    return matrix, derivs.reshape(n, d, k + 1)
+    k = basis.degree
+    eval_local(basis, points.reshape(-1), span, matrix.data.reshape(-1, k + 1),
+               derivs.reshape(-1, k + 1), work)
+    first = span.reshape(n, d)
+    first += basis.size * np.arange(d) - k
+    # one column at a time: a broadcast over the short last axis buffers
+    indices = matrix.indices.reshape(n * d, k + 1)
+    for r in range(k + 1):
+        np.add(span, r, out=indices[:, r])
 
 
 class BatchEvaluator:
     """Forward/backward passes over a fixed sample batch.
 
     The inner basis matrix depends only on the samples, so it is built
-    once and reused across every training iteration; only the outer basis
-    matrix must be rebuilt when coefficients move.  The products read each
-    layer's coefficients as ``coeffs.reshape(outputs, -1).T``; for arrays
-    stored output-minor, as every network holds them, that is a
-    C-contiguous view and nothing is copied.  ``backward`` returns its
-    gradients output-minor too.
+    once.  The outer one moves with the coefficients but keeps its
+    sparsity structure: it is built once too, and ``forward`` refills its
+    values and column indices in place.  Every per-point array is
+    allocated here, so a training iteration faults in no fresh pages for
+    them.  ``forward`` returns a fresh array, which the caller may keep;
+    ``backward`` reads what the last ``forward`` left, so one evaluator
+    serves one forward/backward sequence at a time.
+
+    The products read each layer's coefficients as ``coeffs.reshape(
+    outputs, -1).T``; for arrays stored output-minor, as every network
+    holds them, that is a C-contiguous view and nothing is copied.
+    ``backward`` returns its gradients output-minor too.
     """
 
     def __init__(self, net: KanNetwork, x: Array):
@@ -259,41 +288,58 @@ class BatchEvaluator:
         if not np.all(np.isfinite(x)):
             raise ValueError("batch contains non-finite samples")
         self.net = net
+        basis, (n, d_in), hidden, k = net.basis, x.shape, net.hidden, net.degree
         xhat = np.clip((x - net.input_lo) / (net.input_hi - net.input_lo), 0.0, 1.0)
-        self._inner, _ = _basis_matrix(net.basis, xhat)
+        self._inner = _basis_pattern(basis, n, d_in)
+        _fill_basis(basis, xhat, self._inner, np.empty((n, d_in, k + 1)),
+                    np.empty(n * d_in, np.intp), np.empty((2 * k + 1, n * d_in)))
         self.hidden_slope = 1.0 / (net.hidden_hi - net.hidden_lo)
-        self._outer = None
-        self._outer_derivs = None
-        self._inside = None
+        self._outer = _basis_pattern(basis, n, hidden)
+        self._outer_derivs = np.empty((n, hidden, k + 1))
+        self._span = np.empty(n * hidden, np.intp)
+        self._inside = np.empty((n, hidden), dtype=bool)
+        # eval_local's scratch in forward; backward's slopes and dz after it
+        self._work = np.empty((2 * k + 1, n * hidden))
+        width = hidden * (k + 1)
+        block = max(1, GATHER_BLOCK // (width * net.d_out))
+        self._gather = np.empty((min(n, block), width, net.d_out))
+        self._forwarded = False
 
     def hidden_sums(self, inner_coeffs: Array) -> Array:
         """Hidden sums z (n, hidden) of the batch under ``inner_coeffs``."""
         return self._inner @ inner_coeffs.reshape(inner_coeffs.shape[0], -1).T
 
     def forward(self, inner_coeffs: Array, outer_coeffs: Array) -> Array:
-        zraw = (self.hidden_sums(inner_coeffs) - self.net.hidden_lo) * self.hidden_slope
-        self._inside = (zraw > 0.0) & (zraw < 1.0)
-        self._outer, self._outer_derivs = _basis_matrix(self.net.basis,
-                                                        np.clip(zraw, 0.0, 1.0))
+        zraw = self.hidden_sums(inner_coeffs)
+        zraw -= self.net.hidden_lo
+        zraw *= self.hidden_slope
+        np.greater(zraw, 0.0, out=self._inside)
+        self._inside &= zraw < 1.0
+        np.clip(zraw, 0.0, 1.0, out=zraw)
+        _fill_basis(self.net.basis, zraw, self._outer, self._outer_derivs, self._span, self._work)
+        self._forwarded = True
         return self._outer @ outer_coeffs.reshape(outer_coeffs.shape[0], -1).T
 
     def backward(self, outer_coeffs: Array, upstream: Array) -> tuple[Array, Array]:
         """Gradients of sum_b <upstream_b, forward_b> from the last forward pass."""
-        if self._outer is None:
+        if not self._forwarded:
             raise RuntimeError("backward requires a preceding forward pass")
+        n, hidden, k1 = self._outer_derivs.shape
         grad_outer = (self._outer.T @ upstream).T.reshape(outer_coeffs.shape)
         coeffs = outer_coeffs.reshape(outer_coeffs.shape[0], -1).T
         # the basis matrix's column indices are the flat positions of the
         # outer coefficients at the nonzero functions, hidden * (k+1) per sample
-        idx = self._outer.indices.reshape(upstream.shape[0], -1)
-        slopes = np.empty(idx.shape)
-        block = max(1, GATHER_BLOCK // (idx.shape[1] * coeffs.shape[1]))
-        for lo in range(0, len(idx), block):
+        idx = self._outer.indices.reshape(n, -1)
+        slopes = self._work[:k1].reshape(n, -1)
+        block = self._gather.shape[0]
+        for lo in range(0, n, block):
             rows = slice(lo, lo + block)
-            picked = coeffs.take(idx[rows], axis=0)  # (block, hidden * (k+1), d_out)
-            slopes[rows] = (picked @ upstream[rows, :, None])[:, :, 0]
-        dz = np.einsum("bjr,bjr->bj", slopes.reshape(self._outer_derivs.shape),
-                       self._outer_derivs)
+            picked = self._gather[: idx[rows].shape[0]]  # (block, hidden * (k+1), d_out)
+            # mode="clip" gathers without buffering; the indices are in range
+            coeffs.take(idx[rows], axis=0, out=picked, mode="clip")
+            np.matmul(picked, upstream[rows, :, None], out=slopes[rows].reshape(*picked.shape[:2], 1))
+        dz = np.einsum("bjr,bjr->bj", slopes.reshape(n, hidden, k1), self._outer_derivs,
+                       out=self._work[k1].reshape(n, hidden))
         dz *= self.hidden_slope
         dz *= self._inside
         grad_inner = (self._inner.T @ dz).T.reshape(self.net.inner_coeffs.shape)

@@ -137,7 +137,7 @@ def residual(sch: LmmScheme, times: Array, states: Array, field) -> Array:
         raise ValueError("times must be strictly increasing and equidistant")
     w = index_window(sch, n1)
     b, _ = data_terms(sch, states, h, startup=False)
-    fvals = np.apply_along_axis(field, 1, states[w.r : w.q + 1])
+    fvals = np.array([field(s) for s in states[w.r : w.q + 1]])
     return b - system_matrix(sch, n1)[w.aux_count:] @ fvals
 
 

@@ -255,8 +255,7 @@ def train(config: TrainConfig, traj: Trajectory,
     if true_field is not None:
         w = stencil.window
         sl = slice(w.r, w.q + 1)
-        fvals = np.apply_along_axis(true_field, 1, traj.states)
-        err = best_u[sl] - fvals[sl]
+        err = best_u[sl] - np.array([true_field(s) for s in traj.states[sl]])
         report.seminorm_error = l2_seminorm(np.linalg.norm(err, axis=1))
         report.seminorm_error_components = [l2_seminorm(err[:, c]) for c in range(err.shape[1])]
     return net, report

@@ -552,6 +552,77 @@ class TestBatchEvaluator:
             tracemalloc.stop()
         assert peak < 2 * sum(g.nbytes for g in grads)
 
+    @staticmethod
+    def warm_criterion7_evaluator():
+        # the criterion-7 shape: d = 2, hidden 16, G = 64, k = 3, 1001 samples
+        rng = np.random.default_rng(0)
+        net = kan.init_network(2, 2, hidden=16, intervals=64, seed=0)
+        ev = kan.BatchEvaluator(net, rng.uniform(0.0, 1.0, size=(1001, 2)))
+        upstream = rng.normal(size=(1001, 2))
+        ev.forward(net.inner_coeffs, net.outer_coeffs)
+        ev.backward(net.outer_coeffs, upstream)
+        return net, ev, upstream, 2 * 1001 * 16 * 8
+
+    def test_forward_peak_memory_at_criterion7_scale(self):
+        # the outer basis matrix and eval_local's scratch are refilled in
+        # place, so a warm pass allocates little beyond the hidden sums
+        net, ev, _, budget = self.warm_criterion7_evaluator()
+        tracemalloc.start()
+        try:
+            ev.forward(net.inner_coeffs, net.outer_coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+    def test_backward_peak_memory_at_criterion7_scale(self):
+        net, ev, upstream, budget = self.warm_criterion7_evaluator()
+        ev.forward(net.inner_coeffs, net.outer_coeffs)
+        tracemalloc.start()
+        try:
+            grads = ev.backward(net.outer_coeffs, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + sum(g.nbytes for g in grads)
+
+    def test_refilled_passes_match_fresh_evaluators(self):
+        # One evaluator refills its outer basis in place.  Hidden sums at
+        # the top knot, on edge pieces and clamped at both ends, then all
+        # on cardinal pieces, or the other way round, must leave nothing
+        # behind: every pass equals a fresh evaluator's, bit for bit.
+        rng = np.random.default_rng(8)
+        degree, intervals = 3, 8
+        net = replace(kan.init_network(2, 2, hidden=4, degree=degree, intervals=intervals,
+                                       seed=0), hidden_lo=0.0, hidden_hi=1.0)
+        # the last rows sit at the top of the input box, where the inner
+        # basis is exactly (0, .., 0, 1) and z is the sum of last coefficients
+        x = np.vstack([rng.uniform(-0.2, 1.2, size=(40, 2)), np.ones((3, 2))])
+        upstream = rng.normal(size=(43, 2))
+        outer = rng.normal(size=net.outer_coeffs.shape)
+        edges = rng.uniform(-0.3, 0.3, size=net.inner_coeffs.shape)
+        edges[:, :, -1] = [[0.5, 0.5], [1.0, 1.0], [-1.0, -1.0], [0.03, 0.02]]
+        interior = rng.uniform(0.23, 0.27, size=net.inner_coeffs.shape)
+
+        def zraw(inner):
+            return kan.BatchEvaluator(net, x).hidden_sums(inner)
+
+        lo_edge, hi_edge = (degree - 1) / intervals, (intervals - degree + 1) / intervals
+        z = zraw(edges)
+        assert np.any(z == 1.0) and np.any(z > 1.0) and np.any(z < 0.0)
+        assert np.any((z > 0.0) & (z < lo_edge)) and np.any((z > hi_edge) & (z < 1.0))
+        z = zraw(interior)
+        assert np.all((z >= lo_edge) & (z < hi_edge))
+
+        def passes(ev, inner):
+            return ev.forward(inner, outer), *ev.backward(outer, upstream)
+
+        for order in ((edges, interior, edges), (interior, edges, interior)):
+            ev = kan.BatchEvaluator(net, x)
+            for inner in order:
+                for got, expected in zip(passes(ev, inner), passes(kan.BatchEvaluator(net, x), inner)):
+                    npt.assert_array_equal(got, expected)
+
     def test_nan_coefficients_give_nan_outputs(self):
         # NaN hidden sums reach the outer basis; they must propagate, not index out of range
         net = kan.init_network(2, 2, hidden=3, seed=0)
