@@ -6,13 +6,13 @@ with the classical grid-value linear system, stability diagnostics, and
 approximation-bound calculators alongside.
 """
 from .bspline import BSplineBasis, eval_basis, eval_basis_derivative, make_basis
-from .lmm import (IndexWindow, LmmScheme, RootConditionReport, all_schemes,
-                  empirical_order, fdm_coefficients, index_window, residual,
-                  root_condition, scheme, system_matrix)
+from .lmm import (GridSystem, IndexWindow, LmmScheme, RootConditionReport, all_schemes,
+                  empirical_order, fdm_coefficients, grid_system, index_window,
+                  residual, root_condition, scheme, system_matrix)
 from .odeint import (IntegrationError, NonFiniteStateError, StepUnderflowError,
                      Trajectory, integrate, load_trajectory, save_trajectory)
-from .discovery import (GridSystem, SingularSystemError, assemble, condition_number,
-                        solve_all_components, solve_grid_values)
+from .discovery import (SingularSystemError, assemble, condition_number,
+                        solve_grid_values)
 from .kan import (BatchEvaluator, KanNetwork, ModelFormatError, ModelVersionError,
                   deserialize, forward, get_params, gradient, init_network,
                   load_model, save_model, serialize, set_params)

@@ -104,9 +104,11 @@ def cmd_gen(args) -> int:
 def cmd_solve_grid(args) -> int:
     traj = odeint.load_trajectory(args.data)
     scheme = lmm.scheme(args.scheme, args.steps)
+    system = lmm.grid_system(scheme, traj.states, traj.h)
+    window = system.window
     try:
-        window, fhat = discovery.solve_all_components(scheme, traj)
-        kappa = discovery.condition_number(discovery.assemble(scheme, traj, 0))
+        fhat = discovery.solve_grid_values(system)
+        kappa = discovery.condition_number(system)
         if not np.all(np.isfinite(fhat)):
             raise discovery.SingularSystemError("recovered grid values are not finite")
     except discovery.SingularSystemError as exc:

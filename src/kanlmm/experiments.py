@@ -68,7 +68,7 @@ def _kg_sweep(out: Path, quick: bool, seed: int) -> dict:
     gs = (4, 8, 16, 32, 64)
     traj = odeint.integrate(sys_def.field, sys_def.x0, *sys_def.t_train, h)
     scheme = lmm.scheme("am", 1)
-    kappa = discovery.condition_number(discovery.assemble(scheme, traj, 0))
+    kappa = discovery.condition_number(lmm.grid_system(scheme, traj.states, traj.h))
     results = []
     for k in ks:
         for g in gs:

@@ -422,7 +422,8 @@ def serialize(net: KanNetwork) -> str:
 
 
 _INTEGER_KEYS = ("version", "d_in", "N", "d_out", "k", "G")
-_DOCUMENT_KEYS = {*_INTEGER_KEYS, "input_range", "hidden_range", "inner_coeffs", "outer_coeffs"}
+_ARRAY_KEYS = ("input_range", "hidden_range", "inner_coeffs", "outer_coeffs")
+_DOCUMENT_KEYS = {*_INTEGER_KEYS, *_ARRAY_KEYS}
 
 
 def deserialize(text: str) -> KanNetwork:
@@ -448,20 +449,23 @@ def deserialize(text: str) -> KanNetwork:
         )
     d_in, n, d_out, k, g = (doc[key] for key in _INTEGER_KEYS[1:])
     try:
-        input_range = np.asarray(doc["input_range"], dtype=np.float64)
-        hidden_range = [float(v) for v in doc["hidden_range"]]
-        inner = np.asarray(doc["inner_coeffs"], dtype=np.float64)
-        outer = np.asarray(doc["outer_coeffs"], dtype=np.float64)
+        arrays = [np.asarray(doc[key], dtype=object) for key in _ARRAY_KEYS]
+        # exactly int or float: a float64 conversion would read "1" and true as numbers
+        not_numbers = [key for key, a in zip(_ARRAY_KEYS, arrays)
+                       if not set(map(type, a.flat)) <= {int, float}]
+        if not_numbers:
+            raise TypeError(f"{not_numbers} must hold only JSON numbers")
+        input_range, hidden_range, inner, outer = (a.astype(np.float64) for a in arrays)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model document has malformed fields: {exc}") from None
-    if input_range.shape != (d_in, 2) or len(hidden_range) != 2:
+    if input_range.shape != (d_in, 2) or hidden_range.shape != (2,):
         raise ModelFormatError("model ranges do not match the declared dimensions")
     if inner.shape != (n, d_in, g + k) or outer.shape != (d_out, n, g + k):
         raise ModelFormatError("coefficient arrays do not match the declared shape")
     try:
         return KanNetwork(
             basis=make_basis(k, g), input_lo=input_range[:, 0], input_hi=input_range[:, 1],
-            hidden_lo=hidden_range[0], hidden_hi=hidden_range[1],
+            hidden_lo=float(hidden_range[0]), hidden_hi=float(hidden_range[1]),
             inner_coeffs=inner, outer_coeffs=outer,
         )
     except ValueError as exc:

@@ -7,11 +7,12 @@ Scheme convention, with x_n the state at t_n and f the field:
 
     (1/h) * sum_{m=0}^{M} alpha_m x_{n-m} = sum_{m=0}^{M} beta_m f(x_{n-m})
 
-normalized so alpha_0 > 0.  The module also owns the multistep
-operator: the grid-value system A_h = [C; B_h] over the index window,
-which the residual, the training losses and grid-value recovery all
-read.  Alongside are an empirical-order fit, one-sided difference
-weights, and the root condition on the beta polynomial.
+normalized so alpha_0 > 0.  The module also owns the one grid-value
+system A_h u = [c; b] over the index window (``grid_system``): the
+residual, the training losses, grid-value recovery and kappa_2 all read
+its matrix and right-hand side.  Alongside are an empirical-order fit,
+one-sided difference weights, and the root condition on the beta
+polynomial.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ Array = npt.NDArray[np.float64]
 
 FAMILIES = ("ab", "am", "bdf")
 MAX_STEPS = 6
+RHS_BLOCK = 4096  # rows of [c; b] that grid_system sums at a time
 
 
 class DegenerateFitError(RuntimeError):
@@ -127,18 +129,16 @@ def residual(sch: LmmScheme, times: Array, states: Array, field) -> Array:
     """
     times = np.asarray(times, dtype=np.float64)
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or times.shape[0] != states.shape[0]:
-        raise ValueError("states must be (n_points, d) aligned with times")
     n1 = states.shape[0] - 1
-    if n1 < sch.steps:
-        raise ValueError(f"need at least steps+1 = {sch.steps + 1} points, got {n1 + 1}")
+    if states.ndim != 2 or times.shape[0] != states.shape[0] or n1 < 1:
+        raise ValueError("states must be (n_points >= 2, d) aligned with times")
     h = (times[-1] - times[0]) / n1
     if h <= 0 or not np.allclose(np.diff(times), h, rtol=0.0, atol=1e-9 * max(abs(h), 1.0)):
         raise ValueError("times must be strictly increasing and equidistant")
-    w = index_window(sch, n1)
-    b, _ = data_terms(sch, states, h, startup=False)
+    system = grid_system(sch, states, h, startup=False)
+    w = system.window
     fvals = np.array([field(s) for s in states[w.r : w.q + 1]])
-    return b - system_matrix(sch, n1)[w.aux_count:] @ fvals
+    return system.rhs - system.matrix @ fvals
 
 
 def empirical_order(sch: LmmScheme, field, solution, h_list) -> float:
@@ -181,7 +181,6 @@ class IndexWindow:
     tau - (n1 - steps + 1) = m_max - m_min = len(stencil) - 1.
     """
 
-    n1: int
     r: int
     q: int
     aux_count: int
@@ -201,7 +200,7 @@ def index_window(sch: LmmScheme, n1: int) -> IndexWindow:
     q = n1 - m_min
     tau = q - r + 1
     aux = tau - (n1 - sch.steps + 1)
-    return IndexWindow(n1=n1, r=r, q=q, aux_count=aux)
+    return IndexWindow(r=r, q=q, aux_count=aux)
 
 
 def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
@@ -211,7 +210,7 @@ def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
     unknowns to the one-sided difference values.  Below them multistep
     row i carries ``sch.stencil`` in window columns i..i + aux_count, so
     beta_{m_min} sits on the diagonal and A_h is lower triangular.  The
-    rows of B_h are those of ``data_terms``' b, n = steps..n1.
+    rows of B_h are the multistep equations n = steps..n1.
     """
     w = index_window(sch, n1)
     aux, rows = w.aux_count, w.tau - w.aux_count
@@ -239,29 +238,52 @@ def fdm_coefficients(order: int) -> Array:
     return np.array([float(v) for v in mu])
 
 
-def data_terms(sch: LmmScheme, states: Array, h: float,
-               startup: bool = True) -> tuple[Array, Array]:
-    """Data side of the multistep rows and of the one-sided start-up rows.
+@dataclass(frozen=True)
+class GridSystem:
+    """A_h u = [c; b] on the grid values u_r..u_q of every state component.
 
-    Returns b, the (1/h) alpha combination of the states for
-    n = steps..n1 with shape (n1 - steps + 1, d), and c, the one-sided
-    difference estimates of the field at the first aux_count window
-    indices with shape (aux_count, d).  ``startup=False`` skips c
-    (returned with shape (0, d)); otherwise n1 >= steps + order is needed.
+    ``matrix`` is A_h = [C; B_h] (``system_matrix``) and ``rhs`` is [c; b]
+    with one column per component: b, the (1/h) alpha combination of the
+    states for n = steps..n1, below c, the one-sided difference estimates
+    of the field at the first aux_count window indices.  Built with
+    ``startup=False`` it holds only the band rows B_h and b.
+    """
+
+    scheme: LmmScheme
+    window: IndexWindow
+    matrix: sparse.csr_array
+    rhs: Array
+
+
+def grid_system(sch: LmmScheme, states: Array, h: float, startup: bool = True) -> GridSystem:
+    """The grid-value system of a trajectory sampled at spacing ``h``.
+
+    ``states`` is (n1 + 1, d).  The band rows need n1 >= steps; the
+    start-up rows c, one-sided differences of the scheme's order, need
+    n1 >= steps + order.
     """
     n1, d = states.shape[0] - 1, states.shape[1]
     m = sch.steps
-    b = np.zeros((n1 - m + 1, d))
-    for mm in range(m + 1):
-        b += (sch.alpha[mm] / h) * states[m - mm : n1 + 1 - mm]
-    if not startup:
-        return b, np.zeros((0, d))
+    needed = m + sch.order if startup else m
+    if n1 < needed:
+        terms = "steps + order" if startup else "steps"
+        raise ValueError(f"trajectory too short: need n1 >= {terms} = {needed}, got {n1}")
     w = index_window(sch, n1)
-    mu = fdm_coefficients(sch.order)
-    c = np.zeros((w.aux_count, d))
-    for j, n in enumerate(range(w.r, w.r + w.aux_count)):
-        c[j] = mu @ states[n : n + sch.order + 1] / h
-    return b, c
+    aux = w.aux_count if startup else 0
+    rows = n1 - m + 1
+    rhs = np.zeros((aux + rows, d))
+    # Row blocks keep the sums in cache.  On finite states a zero alpha
+    # adds only +-0.0, which changes no sum that starts at +0.0: skipped.
+    for lo in range(0, rows, RHS_BLOCK):
+        hi = min(lo + RHS_BLOCK, rows)
+        for mm in np.flatnonzero(sch.alpha):
+            rhs[aux + lo : aux + hi] += (sch.alpha[mm] / h) * states[m - mm + lo : m - mm + hi]
+    if startup:
+        mu = fdm_coefficients(sch.order)
+        for j, n in enumerate(range(w.r, w.r + aux)):
+            rhs[j] = mu @ states[n : n + sch.order + 1] / h
+    a = system_matrix(sch, n1)
+    return GridSystem(scheme=sch, window=w, matrix=a if startup else a[w.aux_count:], rhs=rhs)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,16 @@
 """Multistep residual losses over a spline network and full-batch Adam.
 
-Both losses are least-squares residuals of the multistep operator
-A_h = [C; B_h] that ``lmm.system_matrix`` builds.  The plain loss J_h is
+Both losses are least-squares residuals of the grid-value system
+A_h u = [c; b] that ``lmm.grid_system`` builds.  The plain loss J_h is
 the mean squared residual of the band rows, ||B_h u - b||^2 / rows, with
 u the network values over the index window and b the (1/h) alpha
 combination of the data.  The augmented loss J_ah is
 ||A_h u - [c; b]||^2 / tau: its identity rows C pin the earliest window
 values to one-sided difference estimates c, so its minimizer is unique
 because A_h is invertible, and it is the grid-value solution that
-``discovery`` recovers.  The output-space gradient is
-(2 / norm) A^T (A u - rhs), and the coefficient gradient follows from one
-backward pass.
+``discovery`` recovers from the same system.  The output-space gradient
+is (2 / norm) A^T (A u - rhs), and the coefficient gradient follows from
+one backward pass.
 
 Training is deterministic: full-batch gradients, a seeded initializer,
 and a fixed summation order; a given (config, trajectory) pair always
@@ -107,27 +107,20 @@ class ResidualStencil:
 
     Exposes the loss and its gradient with respect to the network values
     U[n] ~ u(x_n) stacked over every grid state.  The residual is
-    A U[r..q] - rhs with A the multistep operator ``lmm.system_matrix``:
-    J_ah uses all of A_h = [C; B_h] and rhs = [c; b], J_h only the band
-    rows B_h and rhs = b.  Here b is the (1/h) alpha combination of the
-    data and c the one-sided difference estimates at the first aux_count
-    window indices.
+    A U[r..q] - rhs with ``matrix`` and ``rhs`` those of
+    ``lmm.grid_system``: J_ah uses all of A_h = [C; B_h] and [c; b], J_h
+    only the band rows B_h and b (``startup=False``).
     """
 
     def __init__(self, scheme: LmmScheme, traj: Trajectory, kind: str):
         if kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-        n1 = traj.n_steps
-        needed = scheme.steps if kind == "jh" else scheme.steps + scheme.order
-        if n1 < needed:
-            raise ValueError(f"trajectory too short: need n1 >= {needed}, got {n1}")
-        self.window = w = lmm.index_window(scheme, n1)
-        b, c = lmm.data_terms(scheme, traj.states, traj.h, startup=kind == "jah")
-        a = lmm.system_matrix(scheme, n1)
-        self.matrix = a if kind == "jah" else a[w.aux_count:]
+        system = lmm.grid_system(scheme, traj.states, traj.h, startup=kind == "jah")
+        self.window = w = system.window
+        self.matrix = system.matrix
         # Transposing on every call would cost about as much as the product.
         self.matrix_t = self.matrix.T.tocsr()
-        self.rhs = np.concatenate([c, b])
+        self.rhs = system.rhs
         self.columns = slice(w.r, w.q + 1)
         self.norm = float(self.rhs.shape[0])
 

@@ -138,7 +138,8 @@ def test_criterion_04_grid_discovery_convergence(acceptance_log):
     errs = []
     for h in hs:
         traj = linear_trajectory(h)
-        w, u = discovery.solve_all_components(sch, traj)
+        system = lmm.grid_system(sch, traj.states, traj.h)
+        w, u = system.window, discovery.solve_grid_values(system)
         ts = np.arange(w.r, w.q + 1) * h
         f_true = np.apply_along_axis(sysd.field, 1, sysd.solution(ts))
         errs.append(float(np.max(np.abs(u - f_true))))
@@ -154,7 +155,8 @@ def test_criterion_05_conditioning(acceptance_log):
         sch = lmm.scheme(family, steps)
         kappas = []
         for n1 in (50, 100, 200, 400):
-            system = discovery.assemble(sch, linear_trajectory(1.0 / n1), 0)
+            traj = linear_trajectory(1.0 / n1)
+            system = lmm.grid_system(sch, traj.states, traj.h)
             kappas.append(discovery.condition_number(system))
         spread = max(kappas) / min(kappas)
         ok = ok and spread < 2.0 and all(k >= 1.0 - 1e-12 for k in kappas)

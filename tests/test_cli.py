@@ -298,6 +298,10 @@ INT_FIELDS = ["d_in", "N", "d_out", "k", "G"]
 # integer fields holding a float, a string, a bool or null; the model has d_in=2, N=2, k=3, G=4
 NOT_INTEGERS = [("k", 3.7), ("G", 4.9), ("N", "2"), ("d_in", 2.0), ("version", True),
                 ("version", 1.0), ("version", "1"), ("d_out", None)]
+# number fields holding strings or bools, which a float64 conversion would read as numbers
+NOT_NUMBERS = [(("hidden_range",), "12"), (("hidden_range",), [True, 2]),
+               (("input_range",), [["0", "1"], ["0", "1"]]),
+               (("inner_coeffs", 0, 0, 0), "0.5"), (("outer_coeffs", 1, 0, 2), False)]
 
 
 # json reads an overflowing literal such as "k": 1e400 as inf, like the Infinity written here
@@ -309,9 +313,11 @@ NOT_INTEGERS = [("k", 3.7), ("G", 4.9), ("N", "2"), ("d_in", 2.0), ("version", T
     (("hidden_range", 1), math.inf),
     *[((key,), sign * math.inf) for key in INT_FIELDS for sign in (1, -1)],
     *[((key,), value) for key, value in NOT_INTEGERS],
+    *NOT_NUMBERS,
 ], ids=["nan-inner-coeff", "inf-outer-coeff", "nan-input-range", "inf-hidden-range",
         *[f"{sign}inf-{key}" for key in INT_FIELDS for sign in "+-"],
-        *[f"{key}={json.dumps(value)}" for key, value in NOT_INTEGERS]])
+        *[f"{key}={json.dumps(value)}" for key, value in NOT_INTEGERS],
+        *[f"{path[0]}={json.dumps(value)}" for path, value in NOT_NUMBERS]])
 def test_non_finite_model_is_model_error(model_json, tmp_path, capsys, command,
                                          path, value):
     doc = json.loads(model_json.read_text())

@@ -1,7 +1,7 @@
 """Grid-value recovery tests.
 
 The recursive-filter solver is checked against a per-row substitution
-loop, against a dense numpy solve of the same assembled matrix, against
+loop, against a dense numpy solve of the same ``lmm.grid_system``, against
 exact derivatives on polynomial trajectories, and for the expected
 convergence order on the linear benchmark.
 """
@@ -33,33 +33,36 @@ STABLE_SMALL_SCHEMES = [(fam, m) for fam, m in ALL_SMALL_SCHEMES
                         if lmm.root_condition(lmm.scheme(fam, m)).max_modulus <= 1.0]
 
 
-def row_loop_reference(system: discovery.GridSystem) -> np.ndarray:
-    """Forward substitution one multistep row at a time."""
+def grid_system(sch: lmm.LmmScheme, traj: Trajectory) -> lmm.GridSystem:
+    return lmm.grid_system(sch, traj.states, traj.h)
+
+
+def row_loop_reference(system: lmm.GridSystem) -> np.ndarray:
+    """Forward substitution one multistep row at a time, one component at a time."""
     stencil = system.scheme.stencil
     pivot = stencil[-1]
     aux = system.window.aux_count
     width = stencil.shape[0]
-    u = np.empty(system.tau)
-    u[:aux] = system.aux_rhs
+    u = np.empty_like(system.rhs)
+    u[:aux] = system.rhs[:aux]
     body = stencil[:-1]
-    for i, rhs in enumerate(system.lmm_rhs):
-        u[i + width - 1] = (rhs - body @ u[i : i + width - 1]) / pivot
+    for c in range(u.shape[1]):
+        for i, rhs in enumerate(system.rhs[aux:, c]):
+            u[i + width - 1, c] = (rhs - body @ u[i : i + width - 1, c]) / pivot
     return u
 
 
 @pytest.mark.parametrize("family,steps", STABLE_SMALL_SCHEMES)
 def test_filter_matches_row_loop_reference(family, steps):
     sch = lmm.scheme(family, steps)
-    traj = linear_trajectory(1e-4)
-    for component in range(traj.dim):
-        system = discovery.assemble(sch, traj, component)
-        u = discovery.solve_grid_values(system)
-        expected = row_loop_reference(system)
-        if sch.stencil.shape[0] == 1 or (family, steps) == ("am", 1):
-            # dividing by 1 or by 1/2 rounds the same inside the filter
-            npt.assert_array_equal(u, expected)
-        else:
-            assert np.max(np.abs(u - expected)) <= 1e-15 * np.max(np.abs(expected))
+    system = grid_system(sch, linear_trajectory(1e-4))
+    u = discovery.solve_grid_values(system)
+    expected = row_loop_reference(system)
+    if sch.stencil.shape[0] == 1 or (family, steps) == ("am", 1):
+        # dividing by 1 or by 1/2 rounds the same inside the filter
+        npt.assert_array_equal(u, expected)
+    else:
+        assert np.max(np.abs(u - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("family,steps", ALL_SMALL_SCHEMES)
@@ -67,14 +70,10 @@ def test_forward_substitution_matches_dense_solve(family, steps):
     # short window: schemes violating the root condition (e.g. AM-2/3)
     # amplify rounding exponentially in the number of rows, which would
     # swamp any solver comparison on long trajectories
-    traj = linear_trajectory(0.05)
-    sch = lmm.scheme(family, steps)
-    for component in range(traj.dim):
-        system = discovery.assemble(sch, traj, component)
-        u = discovery.solve_grid_values(system)
-        rhs = np.concatenate([system.aux_rhs, system.lmm_rhs])  # auxiliary rows first
-        dense = np.linalg.solve(lmm.system_matrix(sch, traj.n_steps).toarray(), rhs)
-        npt.assert_allclose(u, dense, rtol=1e-6, atol=1e-8)
+    system = grid_system(lmm.scheme(family, steps), linear_trajectory(0.05))
+    u = discovery.solve_grid_values(system)
+    dense = np.linalg.solve(system.matrix.toarray(), system.rhs)  # start-up rows first
+    npt.assert_allclose(u, dense, rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("family,steps", ALL_SMALL_SCHEMES)
@@ -85,19 +84,19 @@ def test_polynomial_trajectory_recovered_exactly(family, steps):
     sch = lmm.scheme(family, steps)
     coeffs = np.arange(sch.order + 1, dtype=float) + 1.0  # degree == order
     traj = poly_trajectory(coeffs, h=0.05, n1=10)
-    system = discovery.assemble(sch, traj, 0)
+    system = grid_system(sch, traj)
     u = discovery.solve_grid_values(system)
     w = system.window
     ts = (np.arange(w.r, w.q + 1)) * traj.h
-    expected = np.polyval(np.polyder(coeffs), ts)
+    expected = np.polyval(np.polyder(coeffs), ts)[:, None]
     npt.assert_allclose(u, expected, rtol=1e-8, atol=1e-8)
 
 
 def test_dense_matrix_structure():
     traj = linear_trajectory(0.1)
     sch = lmm.scheme("am", 1)
-    system = discovery.assemble(sch, traj, 0)
-    a = lmm.system_matrix(sch, traj.n_steps).toarray()
+    system = grid_system(sch, traj)
+    a = system.matrix.toarray()
     w = system.window
     assert a.shape == (w.tau, w.tau)
     npt.assert_array_equal(a[: w.aux_count, : w.aux_count],
@@ -115,7 +114,8 @@ def test_recovered_values_converge_at_scheme_order():
     errs = []
     for h in hs:
         traj = linear_trajectory(h)
-        w, u = discovery.solve_all_components(sch, traj)
+        system = grid_system(sch, traj)
+        w, u = system.window, discovery.solve_grid_values(system)
         ts = np.arange(w.r, w.q + 1) * h
         f_true = np.apply_along_axis(sysd.field, 1, sysd.solution(ts))
         errs.append(np.max(np.abs(u - f_true)))
@@ -130,7 +130,8 @@ def test_first_order_scheme_converges_linearly():
     errs = []
     for h in hs:
         traj = linear_trajectory(h)
-        w, u = discovery.solve_all_components(sch, traj)
+        system = grid_system(sch, traj)
+        w, u = system.window, discovery.solve_grid_values(system)
         ts = np.arange(w.r, w.q + 1) * h
         f_true = np.apply_along_axis(sysd.field, 1, sysd.solution(ts))
         errs.append(np.max(np.abs(u - f_true)))
@@ -142,14 +143,14 @@ def test_auxiliary_rows_approximate_field():
     sch = lmm.scheme("am", 2)  # order 3, aux_count > 0
     traj = linear_trajectory(0.005)
     sysd = systems.linear_system()
-    system = discovery.assemble(sch, traj, 0)
+    system = grid_system(sch, traj)
     w = system.window
-    assert system.aux_rhs.shape == (w.aux_count,)
+    assert w.aux_count > 0
     for j in range(w.aux_count):
         t = (w.r + j) * traj.h
         truth = sysd.field(sysd.solution(np.array([t]))[0])[0]
         # one-sided difference of order 3: truncation ~ h^3 |x''''| / 4
-        assert system.aux_rhs[j] == pytest.approx(truth, rel=1e-4)
+        assert system.rhs[j, 0] == pytest.approx(truth, rel=1e-4)
 
 
 class TestConditionNumber:
@@ -157,7 +158,7 @@ class TestConditionNumber:
         # BDF-1 stencil is the single coefficient 1, aux block empty
         sch = lmm.scheme("bdf", 1)
         for n1 in (50, 200):
-            system = discovery.assemble(sch, linear_trajectory(1.0 / n1), 0)
+            system = grid_system(sch, linear_trajectory(1.0 / n1))
             assert system.window.aux_count == 0
             npt.assert_array_equal(system.scheme.stencil, [1.0])
             assert discovery.condition_number(system) == pytest.approx(1.0, abs=1e-12)
@@ -165,7 +166,7 @@ class TestConditionNumber:
     def test_iterative_estimate_matches_dense(self):
         for family, steps in (("ab", 2), ("am", 1), ("bdf", 2)):
             sch = lmm.scheme(family, steps)
-            system = discovery.assemble(sch, linear_trajectory(1.0 / 300), 0)
+            system = grid_system(sch, linear_trajectory(1.0 / 300))
             dense = discovery.condition_number(system)
             iterative = discovery.condition_number(system, dense_limit=10)
             assert iterative == pytest.approx(dense, rel=1e-2), (family, steps)
@@ -174,7 +175,7 @@ class TestConditionNumber:
         sch = lmm.scheme("ab", 2)
         kappas = []
         for n1 in (50, 100, 200):
-            system = discovery.assemble(sch, linear_trajectory(1.0 / n1), 0)
+            system = grid_system(sch, linear_trajectory(1.0 / n1))
             kappas.append(discovery.condition_number(system))
         assert all(k >= 1.0 for k in kappas)
         assert max(kappas) / min(kappas) < 2.0
@@ -182,7 +183,7 @@ class TestConditionNumber:
     def test_singular_system_detected(self):
         # AM-4's beta polynomial has a root outside the unit circle, so the
         # inverse of A_h grows geometrically along the window
-        system = discovery.assemble(lmm.scheme("am", 4), linear_trajectory(0.01), 0)
+        system = grid_system(lmm.scheme("am", 4), linear_trajectory(0.01))
         with pytest.raises(discovery.SingularSystemError):
             discovery.condition_number(system)
 
@@ -191,15 +192,25 @@ def test_assemble_validation():
     traj = linear_trajectory(0.25)  # n1 = 4
     with pytest.raises(ValueError, match="component"):
         discovery.assemble(lmm.scheme("am", 1), traj, 2)
-    with pytest.raises(ValueError, match="n1 >= steps \\+ order"):
-        discovery.assemble(lmm.scheme("bdf", 6), traj, 0)
+    # one length check, in lmm.grid_system, for every caller
+    for build in (lambda sch: discovery.assemble(sch, traj, 0),
+                  lambda sch: grid_system(sch, traj)):
+        with pytest.raises(ValueError, match=r"too short: need n1 >= steps \+ order = 12, got 4"):
+            build(lmm.scheme("bdf", 6))
+    with pytest.raises(ValueError, match="too short: need n1 >= steps = 6, got 4"):
+        lmm.grid_system(lmm.scheme("bdf", 6), traj.states, traj.h, startup=False)
+    # the band rows alone fit where the start-up rows do not
+    band = lmm.grid_system(lmm.scheme("am", 2), traj.states, traj.h, startup=False)
+    assert band.matrix.shape == (3, 5) and band.rhs.shape == (3, 2)
 
 
-def test_solve_all_components_stacks_per_component_solves():
+def test_assemble_columns_match_all_component_solve():
     traj = linear_trajectory(0.02)
-    sch = lmm.scheme("bdf", 2)
-    window, u = discovery.solve_all_components(sch, traj)
-    assert u.shape == (window.tau, traj.dim)
-    for c in range(traj.dim):
-        expected = discovery.solve_grid_values(discovery.assemble(sch, traj, c))
-        npt.assert_array_equal(u[:, c], expected)
+    for family, steps in STABLE_SMALL_SCHEMES:
+        sch = lmm.scheme(family, steps)
+        system = grid_system(sch, traj)
+        u = discovery.solve_grid_values(system)
+        assert u.shape == (system.window.tau, traj.dim)
+        for c in range(traj.dim):
+            column = discovery.solve_grid_values(discovery.assemble(sch, traj, c))
+            npt.assert_array_equal(column[:, 0], u[:, c])

@@ -427,6 +427,22 @@ class TestSerialization:
         with pytest.raises(kan.ModelFormatError):
             kan.deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("path,value", [
+        (("hidden_range",), "12"), (("hidden_range",), [True, 2]),
+        (("input_range",), [["0", "1"]]), (("inner_coeffs", 0, 0, 5), "0.5"),
+        (("outer_coeffs", 0, 0, 66), True),
+    ])
+    def test_rejects_strings_and_booleans_as_numbers(self, path, value):
+        # float64 conversion reads "12" as (1, 2), "0.5" as 0.5 and true as 1
+        import json
+        doc = kan.to_document(kan.init_network(1, 1, hidden=1, seed=0))
+        entry = doc
+        for i in path[:-1]:
+            entry = entry[i]
+        entry[path[-1]] = value
+        with pytest.raises(kan.ModelFormatError, match=f"{path[0]}.*must hold only JSON numbers"):
+            kan.deserialize(json.dumps(doc))
+
 
 def dense_reference(net: kan.KanNetwork, x: np.ndarray, upstream: np.ndarray):
     """Forward values and both gradients from dense basis tables and einsum."""

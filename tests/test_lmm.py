@@ -201,6 +201,20 @@ def test_system_matrix_matches_scheme_rows(family, steps):
         npt.assert_array_equal(a.toarray(), expected)
 
 
+@pytest.mark.parametrize("family,steps", [("ab", 3), ("bdf", 2)])
+def test_grid_system_band_rows_across_blocks(family, steps):
+    # more rows than one summation block; every row of b is its own alpha sum
+    sch = lmm.scheme(family, steps)
+    h, n1 = 0.01, 2 * lmm.RHS_BLOCK + 7
+    states = np.random.default_rng(4).standard_normal((n1 + 1, 2))
+    system = lmm.grid_system(sch, states, h, startup=False)
+    expected = np.zeros_like(system.rhs)
+    for row, n in enumerate(range(steps, n1 + 1)):
+        for mm in range(steps + 1):
+            expected[row] += (sch.alpha[mm] / h) * states[n - mm]
+    npt.assert_array_equal(system.rhs, expected)
+
+
 class TestResidual:
     def test_zero_for_exact_linear_motion(self):
         # constant field, affine trajectory: every consistent scheme is exact

@@ -76,9 +76,21 @@ def test_exact_grid_values_zero_the_augmented_loss():
     # they must be (up to rounding) the exact minimizer of J_ah
     traj = linear_trajectory(0.01)
     sch = lmm.scheme("am", 1)
-    _, u = discovery.solve_all_components(sch, traj)  # window covers 0..n1
+    u = discovery.solve_grid_values(lmm.grid_system(sch, traj.states, traj.h))  # window 0..n1
     stencil = training.ResidualStencil(sch, traj, "jah")
     assert stencil.loss_and_grad(u)[0] < 1e-18
+
+
+@pytest.mark.parametrize("family,steps", [("am", 1), ("ab", 3), ("bdf", 2)])
+def test_stencil_reads_the_one_grid_system(family, steps):
+    traj = linear_trajectory(0.05)
+    sch = lmm.scheme(family, steps)
+    for kind, startup in (("jah", True), ("jh", False)):
+        stencil = training.ResidualStencil(sch, traj, kind)
+        system = lmm.grid_system(sch, traj.states, traj.h, startup=startup)
+        assert stencil.matrix.shape == system.matrix.shape
+        npt.assert_array_equal(stencil.matrix.toarray(), system.matrix.toarray())
+        npt.assert_array_equal(stencil.rhs, system.rhs)
 
 
 def test_true_field_sits_at_truncation_floor():
@@ -106,10 +118,10 @@ class TestStencilValidation:
 
     def test_short_trajectory(self):
         traj = linear_trajectory(0.5)  # n1 = 2
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match="too short: need n1 >= steps = 3, got 2"):
             training.ResidualStencil(lmm.scheme("bdf", 3), traj, "jh")
         # jah additionally needs room for the one-sided difference rows
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match=r"too short: need n1 >= steps \+ order = 5, got 2"):
             training.ResidualStencil(lmm.scheme("am", 2), traj, "jah")
 
 
