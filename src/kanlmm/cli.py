@@ -220,7 +220,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=0, help="initial-condition seed (opinion only)")
     p.add_argument("--out", required=True)
 
-    p = add("solve-grid", cmd_solve_grid, "recover field grid values by a recursive filter")
+    p = add("solve-grid", cmd_solve_grid, "recover field grid values by one banded triangular solve")
     p.add_argument("--data", required=True, help="trajectory CSV")
     p.add_argument("--scheme", default="am", choices=list(lmm.FAMILIES))
     p.add_argument("--steps", type=int, default=1)

@@ -8,12 +8,11 @@ approximations of the same order as the scheme.  ``lmm.grid_system``
 builds the stacked system A_h u = [c; b] once, for every component; its
 least-squares residual is the training loss J_ah, so the grid values
 solved here are that loss's exact minimizer.  A_h = [C; B_h] is lower
-triangular and every row below the identity block C carries the same
-beta stencil, so solving it is a linear recursive filter: the multistep
-right-hand side b is the input and the one-sided start-up values c are
-the initial conditions (Keller & Du, SINUM 59, 2021).  Grid values of
-all components follow from one scipy.signal.lfilter call in
-O(tau * steps * d) time, and ``condition_number`` reads the same matrix.
+triangular with aux_count subdiagonals, so the grid values of all
+components (the discovery of Keller & Du, SINUM 59, 2021) follow from
+one banded triangular solve, LAPACK ``dtbtrs`` on ``lmm.system_bands``,
+in O(tau * steps * d) time; ``condition_number`` reads the same matrix
+and solves with its transpose the same way.
 """
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import numpy.typing as npt
+from scipy.linalg.lapack import dtbtrs
 
 from . import lmm
 from .lmm import GridSystem, LmmScheme
@@ -48,71 +48,47 @@ def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
     return replace(system, rhs=system.rhs[:, [component]])
 
 
-def _filter(stencil: Array, rhs: Array, initial: Array) -> Array:
-    """Solve the multistep rows for the unknowns after the first aux_count.
-
-    Row i reads sum_j stencil[j] u[i + j] = rhs[i]; with y_i the newest
-    unknown u[i + aux_count] this is the recursion
-    sum_k stencil[-1 - k] y_{i-k} = rhs[i], started from the aux_count
-    earlier values ``initial`` (oldest first).  ``rhs`` and ``initial``
-    hold one column per component.  The leading filter coefficient
-    stencil[-1] = beta_{m_min} is nonzero by construction of
-    ``LmmScheme.stencil``.
-    """
-    # Importing scipy.signal adds about 23 MB of resident memory, so only
-    # grid-value recovery pays for it, not every import of the package.
-    from scipy.signal import lfilter, lfiltic
-
-    a = stencil[::-1]
-    # lfiltic takes one output history at a time
-    zi = np.array([lfiltic([1.0], a, col[::-1]) for col in initial.T]).T
-    return lfilter([1.0], a, rhs, axis=0, zi=zi)[0]
+def _band_solve(bands: Array, rhs: Array, trans: str = "N") -> Array:
+    """A^-1 rhs (``trans="T"``: A^-T rhs) for A lower triangular in band storage ``bands``."""
+    if rhs.size == 0:
+        return np.zeros_like(rhs)  # scipy 1.17.1's dtbtrs corrupts the heap when b has no columns
+    x, info = dtbtrs(bands, rhs, uplo="L", trans=trans)
+    if info != 0:
+        raise SingularSystemError(f"grid-value system is singular (dtbtrs info {info})")
+    return x
 
 
 def solve_grid_values(system: GridSystem) -> Array:
-    """Grid values u_r..u_q, (tau, d): the start-up values c, then the filter output.
+    """Grid values u_r..u_q, (tau, d): A_h^-1 [c; b], one banded triangular solve.
 
     ``system`` must hold its start-up rows (``lmm.grid_system``'s default).
     """
-    aux = system.window.aux_count
-    c, b = system.rhs[:aux], system.rhs[aux:]
-    return np.concatenate([c, _filter(system.scheme.stencil, b, c)])
+    return _band_solve(lmm.system_bands(system.scheme, system.window.tau), system.rhs)
 
 
-def condition_number(system: GridSystem, dense_limit: int = DENSE_LIMIT) -> float:
+def condition_number(system: GridSystem) -> float:
     """Spectral condition number kappa_2(A_h).
 
-    Systems of at most ``dense_limit`` unknowns go through a dense SVD.
+    Systems of at most ``DENSE_LIMIT`` unknowns go through a dense SVD.
     Larger ones get an estimate of the extreme singular values: power
     iteration on A^T A for the largest and on A^-1 A^-T for the smallest,
-    whose solves are the recursive filter.  Power iteration approaches
+    whose solves are banded triangular solves.  Power iteration approaches
     both from below, so the estimate can read low by about 1e-3 relative:
-    AB-2 on 1001 samples reads 2.2337 with ``dense_limit=0`` against the
+    AB-2 on 1001 samples reads 2.2337 with ``DENSE_LIMIT = 0`` against the
     dense 2.2361.
     """
-    a, tau, aux = system.matrix, system.window.tau, system.window.aux_count
-    if tau <= dense_limit:
+    a, tau = system.matrix, system.window.tau
+    if tau <= DENSE_LIMIT:
         svals = np.linalg.svd(a.toarray(), compute_uv=False)
         if svals[-1] <= 1e-14 * svals[0]:
             raise SingularSystemError("grid-value system is numerically singular")
         return float(svals[0] / svals[-1])
 
-    # A^T = [[I, B1^T], [0, B2^T]] with B2 the square Toeplitz part of B_h;
-    # reversing both axes of B2^T gives B2 back, so B2^T solves are the
-    # same filter run backwards from zero initial conditions.
-    b1_t = a[aux:, :aux].T
-    stencil = system.scheme.stencil
-
-    def solve(v: Array) -> Array:
-        return np.concatenate([v[:aux], _filter(stencil, v[aux:, None], v[:aux, None])[:, 0]])
-
-    def solve_t(v: Array) -> Array:
-        body = _filter(stencil, v[aux:][::-1, None], np.zeros((aux, 1)))[::-1, 0]
-        return np.concatenate([v[:aux] - b1_t @ body, body])
-
+    bands = lmm.system_bands(system.scheme, tau)
     rng = np.random.default_rng(1234)
     sigma_max = _power_iterate(lambda v: a.T @ (a @ v), tau, rng)
-    sigma_min_inv = _power_iterate(lambda v: solve(solve_t(v)), tau, rng)
+    sigma_min_inv = _power_iterate(
+        lambda v: _band_solve(bands, _band_solve(bands, v, trans="T")), tau, rng)
     if not np.isfinite(sigma_min_inv) or sigma_min_inv <= 0:
         raise SingularSystemError("grid-value system is numerically singular")
     return float(np.sqrt(sigma_max) * np.sqrt(sigma_min_inv))

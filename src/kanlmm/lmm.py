@@ -8,9 +8,10 @@ Scheme convention, with x_n the state at t_n and f the field:
     (1/h) * sum_{m=0}^{M} alpha_m x_{n-m} = sum_{m=0}^{M} beta_m f(x_{n-m})
 
 normalized so alpha_0 > 0.  The module also owns the one grid-value
-system A_h u = [c; b] over the index window (``grid_system``): the
-residual, the training losses, grid-value recovery and kappa_2 all read
-its matrix and right-hand side.  Alongside are an empirical-order fit,
+system A_h u = [c; b] over the index window (``grid_system``), built
+from one lower band storage of A_h (``system_bands``): the residual, the
+training losses, grid-value recovery and kappa_2 all read its matrix and
+right-hand side.  Alongside are an empirical-order fit,
 one-sided difference weights, and the root condition on the beta
 polynomial.
 """
@@ -203,23 +204,33 @@ def index_window(sch: LmmScheme, n1: int) -> IndexWindow:
     return IndexWindow(r=r, q=q, aux_count=aux)
 
 
-def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
-    """A_h = [C; B_h] over the window r..q as one sparse (tau, tau) matrix.
+def system_bands(sch: LmmScheme, tau: int) -> Array:
+    """A_h = [C; B_h] on tau unknowns in LAPACK lower band storage.
 
-    The first aux_count rows are C, identity rows that pin the earliest
+    ``bands[j, col] = A_h[col + j, col]``, shape (aux_count + 1, tau); the
+    last j entries of row j lie outside A_h and are never read.  The first
+    aux_count rows of A_h are C, identity rows that pin the earliest
     unknowns to the one-sided difference values.  Below them multistep
-    row i carries ``sch.stencil`` in window columns i..i + aux_count, so
-    beta_{m_min} sits on the diagonal and A_h is lower triangular.  The
-    rows of B_h are the multistep equations n = steps..n1.
+    row i carries ``sch.stencil`` in window columns i - aux_count..i, so
+    beta_{m_min} sits on the diagonal and A_h is lower triangular.
     """
-    w = index_window(sch, n1)
-    aux, rows = w.aux_count, w.tau - w.aux_count
-    # Diagonal offset j - aux holds stencil[j] in the multistep rows; its
-    # first j entries lie in the identity rows: 1 on the main diagonal, 0 below.
-    bands = [np.concatenate([np.full(j, float(j == aux)), np.full(rows, beta)])
-             for j, beta in enumerate(sch.stencil)]
-    return sparse.diags_array(bands, offsets=range(-aux, 1), shape=(w.tau, w.tau),
-                              format="csr")
+    bands = np.repeat(sch.stencil[::-1, None], tau, axis=1)
+    aux = bands.shape[0] - 1
+    for j in range(aux + 1):
+        # entries of band j in the identity rows: 1 on the diagonal, 0 below
+        bands[j, : aux - j] = float(j == 0)
+    return bands
+
+
+def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
+    """A_h over the window r..q as one sparse (tau, tau) matrix.
+
+    ``system_bands`` read as a DIA matrix, whose ``data`` has the same
+    layout; the rows of B_h are the multistep equations n = steps..n1.
+    """
+    tau = index_window(sch, n1).tau
+    bands = system_bands(sch, tau)
+    return sparse.dia_array((bands, -np.arange(len(bands))), shape=(tau, tau)).tocsr()
 
 
 def fdm_coefficients(order: int) -> Array:
@@ -304,8 +315,8 @@ class RootConditionReport:
 def root_condition(sch: LmmScheme) -> RootConditionReport:
     """Check the root condition for the grid-value recursion.
 
-    The recursive filter that recovers grid values amplifies
-    perturbations through the polynomial
+    Forward substitution through the band rows of A_h, which recovers
+    grid values, amplifies perturbations through the polynomial
     p(z) = sum_{i=m_min}^{m_max} beta_i z^(m_max - i); the recursion is
     stable when all roots lie strictly inside the unit circle.  A scheme
     with a single nonzero beta gives a constant polynomial and the

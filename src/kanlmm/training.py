@@ -8,7 +8,8 @@ combination of the data.  The augmented loss J_ah is
 ||A_h u - [c; b]||^2 / tau: its identity rows C pin the earliest window
 values to one-sided difference estimates c, so its minimizer is unique
 because A_h is invertible, and it is the grid-value solution that
-``discovery`` recovers from the same system.  The output-space gradient
+``discovery`` recovers from the same system by one banded triangular
+solve.  The output-space gradient
 is (2 / norm) A^T (A u - rhs), and the coefficient gradient follows from
 one backward pass.
 

@@ -6,6 +6,10 @@ config file overrides command-line flags.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import kanlmm
 from kanlmm import analysis, cli, kan, odeint, systems, training
 
 
@@ -92,6 +97,18 @@ class TestSolveGrid:
         assert run_cli("solve-grid", "--data", str(data), "--out", str(out)) == 0
         line = capsys.readouterr().out.strip()
         assert "tau = 2501" in line and "power-iteration estimate" in line
+
+    def test_fresh_process_does_not_import_scipy_signal(self, traj_csv, tmp_path):
+        out = tmp_path / "grid.csv"
+        code = ("import sys\nfrom kanlmm import cli\n"
+                f"assert cli.main(['solve-grid', '--data', {str(traj_csv)!r}, "
+                f"'--scheme', 'ab', '--steps', '3', '--out', {str(out)!r}]) == 0\n"
+                "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(kanlmm.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
     def test_opinion_reference_field_needs_no_seed(self, tmp_path):
         data, out = tmp_path / "opinion.csv", tmp_path / "grid.csv"

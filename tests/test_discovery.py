@@ -1,6 +1,6 @@
 """Grid-value recovery tests.
 
-The recursive-filter solver is checked against a per-row substitution
+The banded triangular solve is checked against a per-row substitution
 loop, against a dense numpy solve of the same ``lmm.grid_system``, against
 exact derivatives on polynomial trajectories, and for the expected
 convergence order on the linear benchmark.
@@ -54,12 +54,13 @@ def row_loop_reference(system: lmm.GridSystem) -> np.ndarray:
 
 @pytest.mark.parametrize("family,steps", STABLE_SMALL_SCHEMES)
 def test_filter_matches_row_loop_reference(family, steps):
+    """The banded solve against forward substitution written out row by row."""
     sch = lmm.scheme(family, steps)
     system = grid_system(sch, linear_trajectory(1e-4))
     u = discovery.solve_grid_values(system)
     expected = row_loop_reference(system)
     if sch.stencil.shape[0] == 1 or (family, steps) == ("am", 1):
-        # dividing by 1 or by 1/2 rounds the same inside the filter
+        # dividing by 1 or by 1/2 rounds the same inside the banded solve
         npt.assert_array_equal(u, expected)
     else:
         assert np.max(np.abs(u - expected)) <= 1e-15 * np.max(np.abs(expected))
@@ -67,6 +68,7 @@ def test_filter_matches_row_loop_reference(family, steps):
 
 @pytest.mark.parametrize("family,steps", ALL_SMALL_SCHEMES)
 def test_forward_substitution_matches_dense_solve(family, steps):
+    """The banded solve (forward substitution) against a dense LU solve."""
     # short window: schemes violating the root condition (e.g. AM-2/3)
     # amplify rounding exponentially in the number of rows, which would
     # swamp any solver comparison on long trajectories
@@ -163,13 +165,16 @@ class TestConditionNumber:
             npt.assert_array_equal(system.scheme.stencil, [1.0])
             assert discovery.condition_number(system) == pytest.approx(1.0, abs=1e-12)
 
-    def test_iterative_estimate_matches_dense(self):
-        for family, steps in (("ab", 2), ("am", 1), ("bdf", 2)):
-            sch = lmm.scheme(family, steps)
-            system = grid_system(sch, linear_trajectory(1.0 / 300))
-            dense = discovery.condition_number(system)
-            iterative = discovery.condition_number(system, dense_limit=10)
-            assert iterative == pytest.approx(dense, rel=1e-2), (family, steps)
+    def test_iterative_estimate_matches_dense(self, monkeypatch):
+        # ("ab", 3) has two start-up rows, so the transposed solve crosses C
+        schemes = (("ab", 2), ("ab", 3), ("am", 1), ("bdf", 2))
+        grid_systems = [grid_system(lmm.scheme(f, m), linear_trajectory(1.0 / 300))
+                        for f, m in schemes]
+        dense = [discovery.condition_number(system) for system in grid_systems]
+        monkeypatch.setattr(discovery, "DENSE_LIMIT", 10)
+        for scheme_id, system, expected in zip(schemes, grid_systems, dense):
+            iterative = discovery.condition_number(system)
+            assert iterative == pytest.approx(expected, rel=1e-2), scheme_id
 
     def test_adams_kappa_does_not_blow_up_with_length(self):
         sch = lmm.scheme("ab", 2)
@@ -202,6 +207,12 @@ def test_assemble_validation():
     # the band rows alone fit where the start-up rows do not
     band = lmm.grid_system(lmm.scheme("am", 2), traj.states, traj.h, startup=False)
     assert band.matrix.shape == (3, 5) and band.rhs.shape == (3, 2)
+
+
+def test_system_without_components_solves_to_empty_values():
+    traj = linear_trajectory(0.02)
+    system = lmm.grid_system(lmm.scheme("ab", 3), traj.states[:, :0], traj.h)
+    assert discovery.solve_grid_values(system).shape == (system.window.tau, 0)
 
 
 def test_assemble_columns_match_all_component_solve():

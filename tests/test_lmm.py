@@ -178,7 +178,7 @@ def test_stencil_is_trimmed_band_in_column_order():
     npt.assert_array_equal(lmm.scheme("ab", 2).stencil, [-0.5, 1.5])
     npt.assert_array_equal(lmm.scheme("bdf", 3).stencil, [1.0])
     for sch in lmm.all_schemes():
-        # both ends nonzero: the filter's leading coefficient never vanishes
+        # both ends nonzero: the diagonal of A_h (stencil[-1]) never vanishes
         assert sch.stencil[0] != 0.0 and sch.stencil[-1] != 0.0
 
 
@@ -199,6 +199,13 @@ def test_system_matrix_matches_scheme_rows(family, steps):
         a = lmm.system_matrix(sch, n1)
         assert a.format == "csr"
         npt.assert_array_equal(a.toarray(), expected)
+        # the band storage that both the sparse matrix and the banded solves read
+        bands = lmm.system_bands(sch, w.tau)
+        assert bands.shape == (w.aux_count + 1, w.tau)
+        rebuilt = np.zeros_like(expected)
+        for j in range(w.aux_count + 1):
+            rebuilt += np.diag(bands[j, : w.tau - j], -j)
+        npt.assert_array_equal(rebuilt, expected)
 
 
 @pytest.mark.parametrize("family,steps", [("ab", 3), ("bdf", 2)])

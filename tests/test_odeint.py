@@ -1,10 +1,12 @@
 """Reference integration and trajectory container tests."""
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
 
-from kanlmm import odeint
+from kanlmm import cli, odeint
 from kanlmm.systems import linear_system, opinion_system
 
 
@@ -156,20 +158,30 @@ def test_crlf_file_loads_bitwise(tmp_path):
     assert (back.t0, back.t1, back.h) == (ref.t0, ref.t1, ref.h)
 
 
-def test_load_rejects_bad_files(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("a,b\n1,2\n3,4\n")
-    with pytest.raises(ValueError):
-        odeint.load_trajectory(p)
-    p.write_text("t,x1\n0.0,1.0\n")
-    with pytest.raises(ValueError):
-        odeint.load_trajectory(p)
-    p.write_text("t,x1\n0.0,1.0\n0.1,1.0\n0.35,1.0\n")
-    with pytest.raises(ValueError):
-        odeint.load_trajectory(p)
-    p.write_text("")
-    with pytest.raises(ValueError):
-        odeint.load_trajectory(p)
+def test_load_rejects_bad_files(tmp_path, capsys):
+    bad = {
+        "no header": "a,b\n1,2\n3,4\n",
+        "one sample": "t,x1\n0.0,1.0\n",
+        "uneven times": "t,x1\n0.0,1.0\n0.1,1.0\n0.35,1.0\n",
+        "empty": "",
+        "no state column": "t\n0.0\n0.1\n",
+        "ragged row": "t,x1\n0.0,1.0\n0.1,1.0,2.0\n0.2,1.0\n",
+        "non-numeric entry": "t,x1\n0.0,1.0\n0.1,one\n",
+        "nan entry": "t,x1\n0.0,1.0\n0.1,nan\n",
+        "header only": "t,x1\n",
+    }
+    p, out = tmp_path / "bad.csv", tmp_path / "grid.csv"
+    for case, text in bad.items():
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning must not escape
+            with pytest.raises(ValueError):
+                odeint.load_trajectory(p)
+            capsys.readouterr()
+            assert cli.main(["solve-grid", "--data", str(p), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, case
+        assert not out.exists(), case
 
 
 def test_gen_is_reproducible(tmp_path):
