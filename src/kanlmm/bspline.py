@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+from numpy.lib.stride_tricks import sliding_window_view
 
 Array = npt.NDArray[np.float64]
 
@@ -108,8 +109,8 @@ def greville_abscissae(basis: BSplineBasis) -> Array:
     Coefficients set to an affine function at these points reproduce that
     function exactly; the first and last abscissae are 0 and 1.
     """
-    k, t = basis.degree, basis.knots
-    return np.array([t[q + 1 : q + k + 1].mean() for q in range(basis.size)])
+    # row q of the windows is t[q+1 : q+k+1]; the knots hold size + k + 1 entries
+    return sliding_window_view(basis.knots[1:-1], basis.degree).mean(axis=1)
 
 
 def eval_local(basis: BSplineBasis, x: Array, span: Array, vals: Array, derivs: Array,

@@ -121,7 +121,7 @@ def cmd_solve_grid(args) -> int:
     columns = {"x": states, "fhat": fhat}
     true_field = _true_field(args, traj)
     if true_field is not None:
-        columns["ftrue"] = np.array([true_field(s) for s in states])
+        columns["ftrue"] = systems.field_rows(true_field, states)
     header = ["t"] + [f"{name}{i + 1}" for name in columns for i in range(traj.dim)]
     odeint.write_csv(args.out, header, np.column_stack([times, *columns.values()]))
     estimate = (" (power-iteration estimate; can read about 1e-3 low)"

@@ -26,7 +26,10 @@ inner_coeffs.ravel() followed by outer_coeffs.ravel(), in C order.
 layer's basis as a sparse matrix with a fixed sparsity structure: the
 outer one is refilled in place on every ``forward``, which returns a
 fresh output array.  All its per-point arrays are allocated once, so one
-evaluator serves one forward/backward sequence at a time.
+evaluator serves one forward/backward sequence at a time.  The first
+``backward`` builds the transposes of both matrices, as CSC views of the
+same arrays, and keeps them; a one-row evaluator, as ``forward`` builds
+for a single point, never pays for them.
 """
 from __future__ import annotations
 
@@ -235,7 +238,7 @@ def _basis_pattern(basis: BSplineBasis, n: int, d: int) -> sparse.csr_array:
     matrix.
     """
     width = d * (basis.degree + 1)
-    return sparse.csr_array((np.zeros(n * width), np.arange(n * width) % width,
+    return sparse.csr_array((np.zeros(n * width), np.tile(np.arange(width), n),
                              np.arange(n + 1) * width), shape=(n, d * basis.size))
 
 
@@ -304,6 +307,7 @@ class BatchEvaluator:
         block = max(1, GATHER_BLOCK // (width * net.d_out))
         self._gather = np.empty((min(n, block), width, net.d_out))
         self._forwarded = False
+        self._transposes = None  # (outer.T, inner.T), built by the first backward
 
     def hidden_sums(self, inner_coeffs: Array) -> Array:
         """Hidden sums z (n, hidden) of the batch under ``inner_coeffs``."""
@@ -324,8 +328,13 @@ class BatchEvaluator:
         """Gradients of sum_b <upstream_b, forward_b> from the last forward pass."""
         if not self._forwarded:
             raise RuntimeError("backward requires a preceding forward pass")
+        if self._transposes is None:
+            # CSC views sharing data, indices and indptr with the CSR
+            # matrices, so forward's in-place refill keeps them current
+            self._transposes = (self._outer.T, self._inner.T)
+        outer_t, inner_t = self._transposes
         n, hidden, k1 = self._outer_derivs.shape
-        grad_outer = (self._outer.T @ upstream).T.reshape(outer_coeffs.shape)
+        grad_outer = (outer_t @ upstream).T.reshape(outer_coeffs.shape)
         coeffs = outer_coeffs.reshape(outer_coeffs.shape[0], -1).T
         # the basis matrix's column indices are the flat positions of the
         # outer coefficients at the nonzero functions, hidden * (k+1) per sample
@@ -342,7 +351,7 @@ class BatchEvaluator:
                        out=self._work[k1].reshape(n, hidden))
         dz *= self.hidden_slope
         dz *= self._inside
-        grad_inner = (self._inner.T @ dz).T.reshape(self.net.inner_coeffs.shape)
+        grad_inner = (inner_t @ dz).T.reshape(self.net.inner_coeffs.shape)
         return grad_inner, grad_outer
 
 

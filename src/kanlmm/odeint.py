@@ -178,7 +178,11 @@ def load_trajectory(path) -> Trajectory:
         with warnings.catch_warnings():
             # a header-only file is reported below, as too few samples
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                # numpy counts data rows, not file lines, and suggests its own options
+                raise ValueError(_first_bad_line(path, len(header)) or str(exc)) from None
     if len(data) < 2:
         raise ValueError("trajectory must contain at least 2 samples")
     if data.shape[1] != len(header):
@@ -191,3 +195,20 @@ def load_trajectory(path) -> Trajectory:
     if h <= 0 or np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(abs(h), 1.0):
         raise ValueError("trajectory time column is not equidistant")
     return Trajectory(t0=float(times[0]), t1=float(times[-1]), h=float(h), states=states)
+
+
+def _first_bad_line(path, width: int) -> str | None:
+    """Which line of a CSV that ``np.loadtxt`` rejects is ragged or not numeric, if one is."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            if number == 1 or not line.strip():
+                continue
+            values = line.split(",")
+            if len(values) != width:
+                return f"trajectory CSV line {number} has {len(values)} values, the header {width}"
+            for v in values:
+                try:
+                    float(v)
+                except ValueError:
+                    return f"trajectory CSV line {number}: {v.strip()!r} is not a number"
+    return None

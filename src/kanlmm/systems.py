@@ -3,6 +3,10 @@
 Each system is packaged as a SystemDef: an autonomous field, an initial
 state, the interval the training data is drawn from, and (when one
 exists) the closed-form solution.
+
+Every field maps one state (d,) to its derivative (d,), and a batch of
+states (m, d) to their derivatives (m, d).  ``field_rows`` evaluates a
+field over many states in blocks of rows.
 """
 from __future__ import annotations
 
@@ -17,6 +21,9 @@ from scipy.sparse import csr_matrix
 Array = npt.NDArray[np.float64]
 
 OPINION_INIT_RANGE = (0.0, 10.0)  # initial opinions are uniform on this interval
+# field_rows gives a field max(1, FIELD_BLOCK // d**2) rows per call, so that
+# (rows, d, d) temporaries, as the opinion field builds, stay at 256 KB each.
+FIELD_BLOCK = 1 << 15
 
 GLYCOLYTIC_PARAMS: dict[str, float] = {
     "J0": 2.5,
@@ -40,7 +47,10 @@ GLYCOLYTIC_X0 = (1.125, 0.95, 0.075, 0.16, 0.265, 0.7, 0.092)
 
 @dataclass(frozen=True)
 class SystemDef:
-    """A named autonomous system dx/dt = field(x) with benchmark metadata."""
+    """A named autonomous system dx/dt = field(x) with benchmark metadata.
+
+    ``field`` takes a state (d,) or a batch of states (m, d).
+    """
 
     name: str
     dim: int
@@ -56,10 +66,12 @@ def linear_system() -> SystemDef:
 
     From x0 = [0, 1] the solution is x(t) = (e^{2t} - e^{-4t})/2,
     y(t) = e^{-4t}, which makes this the standard closed-form check.
+    Each row of a batch's field is bitwise the field of that state.
     """
 
     def field(s: Array) -> Array:
-        return np.array([2.0 * s[0] + 3.0 * s[1], -4.0 * s[1]])
+        s = s.T  # a batch as its two columns; a state is its own transpose
+        return np.array([2.0 * s[0] + 3.0 * s[1], -4.0 * s[1]]).T
 
     def solution(ts) -> Array:
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
@@ -83,6 +95,8 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
     the ATP pool (A - S6), matching the S4 production and S6 balance
     terms it must cancel against.  With the benchmark parameters the
     trajectory from GLYCOLYTIC_X0 stays positive and bounded on [0, 10].
+    A batch's rows may differ from the per-state field in the last bits:
+    an array's ``**`` does not round as a scalar's does.
     """
     p = dict(GLYCOLYTIC_PARAMS)
     if params:
@@ -97,7 +111,7 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
     N, A = p["N"], p["A"]
 
     def field(s: Array) -> Array:
-        s1, s2, s3, s4, s5, s6, s7 = s
+        s1, s2, s3, s4, s5, s6, s7 = s.T
         v1 = k1 * s1 * s6 / (1.0 + (s6 / K1) ** q)
         v2 = k2 * s2 * (N - s5)
         v3 = k3 * s3 * (A - s6)
@@ -109,7 +123,7 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
             v2 - k4 * s4 * s5 - k6 * s2 * s5,
             -2.0 * v1 + 2.0 * v3 - k5 * s6,
             psi * kap * (s4 - s7) - k7 * s7,
-        ])
+        ]).T
 
     return SystemDef(
         name="glycolytic",
@@ -130,7 +144,9 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
     phi_ij = 1 when |x_j - x_i| <= 1.  The normalizer sums over all k
     including i, so it is at least 1 for a finite state.  Initial opinions
     are drawn uniformly from ``OPINION_INIT_RANGE`` with a seeded generator so
-    every run of a given (dim, seed) pair sees identical data.
+    every run of a given (dim, seed) pair sees identical data.  Each row
+    of a batch's field is bitwise the field of that state; a batch costs
+    (m, dim, dim) temporaries.
     """
     if dim < 2:
         raise ValueError(f"opinion model needs at least 2 agents, got {dim}")
@@ -144,10 +160,10 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
         # zero field (a @ x - rowsum * x rounds differently per term).  The
         # diagonal needs no masking: d_ii = 0 contributes +0.0 to its row.
         x = np.asarray(x, dtype=np.float64)
-        d = x - x[:, None]
+        d = x[..., None, :] - x[..., :, None]
         near = np.abs(d) <= 1.0
-        d *= near / near.sum(axis=1, keepdims=True)
-        return alpha * d.sum(axis=1)
+        d *= near / near.sum(axis=-1, keepdims=True)
+        return alpha * d.sum(axis=-1)
 
     return SystemDef(
         name="opinion",
@@ -157,6 +173,17 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
         t_train=t_train,
         params={"alpha": alpha, "seed": seed, "init_range": OPINION_INIT_RANGE},
     )
+
+
+def field_rows(field, states: Array) -> Array:
+    """``field`` at every row of ``states`` (n, d), one call per block of rows."""
+    states = np.asarray(states, dtype=np.float64)
+    n, d = states.shape
+    rows = max(1, FIELD_BLOCK // (d * d))
+    out = np.empty((n, d))
+    for lo in range(0, n, rows):
+        out[lo : lo + rows] = field(states[lo : lo + rows])
+    return out
 
 
 def opinion_component_count(x: Array) -> int:

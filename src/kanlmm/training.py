@@ -31,6 +31,7 @@ from .analysis import l2_seminorm
 from .kan import BatchEvaluator, KanNetwork
 from .lmm import LmmScheme
 from .odeint import Trajectory
+from .systems import field_rows
 
 Array = npt.NDArray[np.float64]
 
@@ -176,7 +177,10 @@ def train(config: TrainConfig, traj: Trajectory,
     is at most 1 in every coefficient (as on the first iteration) moves
     each hidden sum by at most ``learning_rate`` outer-grid intervals.  When ``true_field``
     is given, the report also carries the windowed root-mean-square gap
-    between the learned and true fields at the grid states.
+    between the learned and true fields at the grid states.  Like every
+    ``systems`` field, ``true_field`` must map a batch of states (m, d)
+    to their derivatives (m, d): ``systems.field_rows`` calls it once per
+    block of grid states.
 
     Adam updates the network's own coefficients in place, through
     ``kan.flat_view``, and reads each gradient of the backward pass where
@@ -249,7 +253,7 @@ def train(config: TrainConfig, traj: Trajectory,
     if true_field is not None:
         w = stencil.window
         sl = slice(w.r, w.q + 1)
-        err = best_u[sl] - np.array([true_field(s) for s in traj.states[sl]])
+        err = best_u[sl] - field_rows(true_field, traj.states[sl])
         report.seminorm_error = l2_seminorm(np.linalg.norm(err, axis=1))
         report.seminorm_error_components = [l2_seminorm(err[:, c]) for c in range(err.shape[1])]
     return net, report

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.interpolate import BSpline as SciPyBSpline
 
-from kanlmm.bspline import eval_basis, eval_basis_derivative, eval_local, make_basis
+from kanlmm.bspline import (eval_basis, eval_basis_derivative, eval_local, greville_abscissae,
+                            make_basis)
 
 
 def local(basis, x):
@@ -270,3 +271,15 @@ def test_non_finite_evaluation_points_rejected():
         eval_basis(basis, [0.1, np.nan])
     with pytest.raises(ValueError):
         eval_basis_derivative(basis, np.inf)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_greville_abscissae_match_the_knot_average_loop(degree):
+    for intervals in range(1, 65):
+        basis = make_basis(degree, intervals)
+        t = basis.knots
+        loop = np.array([t[q + 1 : q + degree + 1].mean() for q in range(basis.size)])
+        got = greville_abscissae(basis)
+        assert got.shape == (basis.size,)
+        npt.assert_array_equal(got, loop)
+        assert got[0] == 0.0 and got[-1] == 1.0

@@ -87,6 +87,17 @@ class TestSolveGrid:
         assert np.max(np.abs(fhat - ftrue)) < 1e-2  # O(h^2) at h = 0.02
         assert "kappa2" in capsys.readouterr().out
 
+    def test_ftrue_column_is_the_per_state_field(self, tmp_path):
+        data, out = tmp_path / "opinion.csv", tmp_path / "grid.csv"
+        assert run_cli("gen", "--system", "opinion", "--dim", "5", "--h", "0.05", "--t1", "1",
+                       "--out", str(data)) == 0
+        assert run_cli("solve-grid", "--data", str(data), "--system", "opinion", "--dim", "5",
+                       "--out", str(out)) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        field = systems.opinion_system(dim=5).field
+        want = np.array([field(x) for x in table[:, 1:6]])
+        npt.assert_array_equal(table[:, 11:16], want)  # 17 digits read back exactly
+
     def test_kappa_above_dense_limit_is_labelled_an_estimate(self, traj_csv, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("solve-grid", "--data", str(traj_csv), "--out", str(out)) == 0

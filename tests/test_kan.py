@@ -11,6 +11,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 from kanlmm import kan
 from kanlmm.bspline import eval_basis, eval_basis_derivative
@@ -638,6 +639,54 @@ class TestBatchEvaluator:
             for inner in order:
                 for got, expected in zip(passes(ev, inner), passes(kan.BatchEvaluator(net, x), inner)):
                     npt.assert_array_equal(got, expected)
+
+    def test_cached_transposes_follow_the_refilled_basis(self):
+        # backward builds the two transposes once and reuses them; after a
+        # forward with other coefficients, which moves the outer basis, its
+        # gradients must still equal a fresh evaluator's, bit for bit
+        rng = np.random.default_rng(9)
+        net = kan.init_network(2, 2, hidden=5, degree=3, intervals=8, seed=0)
+        x = rng.uniform(-0.1, 1.1, size=(30, 2))
+        upstream = rng.normal(size=(30, 2))
+        ev = kan.BatchEvaluator(net, x)
+        first = (net.inner_coeffs, net.outer_coeffs)
+        second = tuple(c + rng.normal(scale=0.3, size=c.shape) for c in first)
+        for inner, outer in (first, second, first):
+            ev.forward(inner, outer)
+            fresh = kan.BatchEvaluator(net, x)
+            fresh.forward(inner, outer)
+            for got, expected in zip(ev.backward(outer, upstream),
+                                     fresh.backward(outer, upstream)):
+                npt.assert_array_equal(got, expected)
+
+    def test_cached_transposes_share_the_basis_memory(self):
+        net = kan.init_network(2, 2, hidden=4, degree=3, intervals=8, seed=0)
+        ev = kan.BatchEvaluator(net, np.random.default_rng(0).uniform(size=(20, 2)))
+        ev.forward(net.inner_coeffs, net.outer_coeffs)
+        ev.backward(net.outer_coeffs, np.ones((20, 2)))
+        for transpose, matrix in zip(ev._transposes, (ev._outer, ev._inner)):
+            assert transpose.shape == matrix.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(transpose, name), getattr(matrix, name)), name
+
+    def test_transposes_are_built_on_the_first_backward_only(self, monkeypatch):
+        calls = []
+        transpose = sparse.csr_array.transpose
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.shape)
+            return transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_array, "transpose", counted)
+        net = kan.init_network(2, 2, hidden=4, degree=3, intervals=8, seed=0)
+        kan.forward(net, np.array([0.3, 0.6]))  # what every point evaluation pays
+        assert calls == []
+        x = np.random.default_rng(1).uniform(size=(10, 2))
+        ev = kan.BatchEvaluator(net, x)
+        for _ in range(3):
+            ev.forward(net.inner_coeffs, net.outer_coeffs)
+            ev.backward(net.outer_coeffs, np.ones((10, 2)))
+        assert len(calls) == 2
 
     def test_nan_coefficients_give_nan_outputs(self):
         # NaN hidden sums reach the outer basis; they must propagate, not index out of range

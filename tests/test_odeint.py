@@ -166,11 +166,13 @@ def test_load_rejects_bad_files(tmp_path, capsys):
         "empty": "",
         "no state column": "t\n0.0\n0.1\n",
         "ragged row": "t,x1\n0.0,1.0\n0.1,1.0,2.0\n0.2,1.0\n",
+        "ragged row after a blank line": "t,x1\n0.0,1.0\n\n0.1,1.0\n0.2,1.0,\n",
         "non-numeric entry": "t,x1\n0.0,1.0\n0.1,one\n",
         "nan entry": "t,x1\n0.0,1.0\n0.1,nan\n",
         "header only": "t,x1\n",
     }
     p, out = tmp_path / "bad.csv", tmp_path / "grid.csv"
+    messages = {}
     for case, text in bad.items():
         p.write_text(text)
         with warnings.catch_warnings():
@@ -182,6 +184,12 @@ def test_load_rejects_bad_files(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, case
         assert not out.exists(), case
+        messages[case] = err
+    # the file's own line numbers, header and blank lines included
+    assert messages["ragged row"] == "error: trajectory CSV line 3 has 3 values, the header 2\n"
+    assert messages["ragged row after a blank line"] == (
+        "error: trajectory CSV line 5 has 3 values, the header 2\n")
+    assert messages["non-numeric entry"] == "error: trajectory CSV line 3: 'one' is not a number\n"
 
 
 def test_gen_is_reproducible(tmp_path):
@@ -192,3 +200,4 @@ def test_gen_is_reproducible(tmp_path):
                                tmp_path / name)
         texts.append((tmp_path / name).read_text())
     assert texts[0] == texts[1]
+

@@ -165,3 +165,54 @@ def test_by_name_dispatch():
     assert systems.by_name("opinion", dim=12, seed=4).dim == 12
     with pytest.raises(ValueError):
         systems.by_name("lorenz")
+
+
+def trajectory_states(sysd, t1: float, h: float) -> np.ndarray:
+    return odeint.integrate(sysd.field, sysd.x0, 0.0, t1, h).states
+
+
+class TestBatchFields:
+    """Every field takes an (m, d) batch; ``field_rows`` evaluates in blocks."""
+
+    @pytest.mark.parametrize("name", ["linear", "opinion"])
+    def test_rows_are_bitwise_the_per_state_field(self, name):
+        sysd = systems.by_name(name)  # opinion: dim 50, seed 0
+        rng = np.random.default_rng(4)
+        states = np.vstack([trajectory_states(sysd, 1.0, 0.05),
+                            rng.uniform(-3.0, 12.0, size=(40, sysd.dim)),
+                            np.full((1, sysd.dim), 4.2)])
+        want = np.array([sysd.field(s) for s in states])
+        got = sysd.field(states)
+        assert got.shape == states.shape
+        npt.assert_array_equal(got, want)
+        npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_opinion_consensus_batch_is_an_exact_zero(self):
+        sysd = systems.opinion_system(dim=10, seed=3)
+        states = np.full((3, 10), 4.2) + np.arange(3)[:, None]
+        field = sysd.field(states)
+        assert field.shape == (3, 10) and np.all(field == 0.0)
+
+    def test_glycolytic_rows_match_to_rounding(self):
+        # an array's ** rounds unlike a scalar's, so only the last bits may move
+        sysd = systems.glycolytic_system()
+        states = trajectory_states(sysd, 1.0, 0.01)
+        want = np.array([sysd.field(s) for s in states])
+        npt.assert_allclose(sysd.field(states), want, rtol=1e-13, atol=1e-13)
+
+    # a block below d * d entries still passes one row per call
+    @pytest.mark.parametrize("block, sizes", [(4 * 6 * 6 + 5, [4, 4, 4, 4, 4, 1]),
+                                              (1, [1] * 21)])
+    def test_field_rows_blocks_bound_the_rows_per_call(self, monkeypatch, block, sizes):
+        sysd = systems.opinion_system(dim=6, seed=1)
+        states = trajectory_states(sysd, 1.0, 0.05)  # 21 rows
+        monkeypatch.setattr(systems, "FIELD_BLOCK", block)
+        calls = []
+
+        def field(x):
+            calls.append(len(x))
+            return sysd.field(x)
+
+        got = systems.field_rows(field, states)
+        assert calls == sizes
+        npt.assert_array_equal(got, np.array([sysd.field(s) for s in states]))

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kanlmm import discovery, kan, lmm, systems, training
+from kanlmm import discovery, kan, lmm, odeint, systems, training
 from kanlmm.analysis import l2_seminorm
 from kanlmm.odeint import Trajectory
 
@@ -231,6 +231,20 @@ class TestTrain:
                                                                        traj.states)[sl]
         assert rep.seminorm_error == l2_seminorm(np.linalg.norm(err, axis=1))
         assert rep.seminorm_error_components == [l2_seminorm(err[:, c]) for c in range(2)]
+
+    def test_report_matches_a_per_state_reference_over_many_blocks(self):
+        # opinion at d = 50 gives the field 13 rows per block, so the
+        # report's error comes from several blocks and a ragged last one
+        sysd = systems.opinion_system(dim=50, seed=0, t_train=(0.0, 0.5))
+        traj = odeint.integrate(sysd.field, sysd.x0, 0.0, 0.5, 0.01)
+        cfg = tiny_config(intervals=8, hidden=5, iterations=3)
+        net, rep = training.train(cfg, traj, true_field=sysd.field)
+        w = lmm.index_window(lmm.scheme("am", 1), traj.n_steps)
+        sl = slice(w.r, w.q + 1)
+        per_state = np.array([sysd.field(s) for s in traj.states[sl]])
+        err = kan.forward(net, traj.states)[sl] - per_state
+        assert rep.seminorm_error == l2_seminorm(np.linalg.norm(err, axis=1))
+        assert rep.seminorm_error_components == [l2_seminorm(err[:, c]) for c in range(50)]
 
     def test_zero_iterations_returns_initialization(self):
         traj = linear_trajectory(0.02)
