@@ -1,18 +1,16 @@
 """Recovery of vector-field grid values from a single trajectory.
 
 For a multistep scheme the residual equations in the unknowns
-u_n = f(x(t_n)) form a banded block B_h acting on the window n = r..q.
-Squaring the system requires aux_count = len(scheme.stencil) - 1 extra
-rows; these pin down the earliest unknowns with one-sided difference
-approximations of the same order as the scheme.  ``lmm.grid_system``
-builds the stacked system A_h u = [c; b] once, for every component; its
-least-squares residual is the training loss J_ah, so the grid values
-solved here are that loss's exact minimizer.  A_h = [C; B_h] is lower
-triangular with aux_count subdiagonals, so the grid values of all
-components (the discovery of Keller & Du, SINUM 59, 2021) follow from
-one banded triangular solve, LAPACK ``dtbtrs`` on ``lmm.system_bands``,
-in O(tau * steps * d) time; ``condition_number`` reads the same matrix
-and solves with its transpose the same way.
+u_n = f(x(t_n)) form a banded block B_h on the window n = r..q, and
+aux_count = len(scheme.stencil) - 1 start-up rows, one-sided differences
+of the scheme's order, square it.  ``lmm.grid_system`` builds the
+stacked system A_h u = [c; b] for every component; its least-squares
+residual is the training loss J_ah, so the grid values solved here are
+that loss's exact minimizer.  A_h = [C; B_h] is lower triangular with
+aux_count subdiagonals, so the grid values of all components (the
+discovery of Keller & Du, SINUM 59, 2021) are one LAPACK ``dtbtrs``
+solve on ``lmm.system_bands``, in O(tau * steps * d) time;
+``condition_number`` solves with its transpose the same way.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ import numpy.typing as npt
 from scipy.linalg.lapack import dtbtrs
 
 from . import lmm
-from .lmm import GridSystem, LmmScheme
+from .lmm import GridSystem, LmmScheme, apply_system, apply_system_t
 from .odeint import Trajectory
 
 Array = npt.NDArray[np.float64]
@@ -70,23 +68,26 @@ def condition_number(system: GridSystem) -> float:
     """Spectral condition number kappa_2(A_h).
 
     Systems of at most ``DENSE_LIMIT`` unknowns go through a dense SVD.
-    Larger ones get an estimate of the extreme singular values: power
-    iteration on A^T A for the largest and on A^-1 A^-T for the smallest,
-    whose solves are banded triangular solves.  Power iteration approaches
-    both from below, so the estimate can read low by about 1e-3 relative:
-    AB-2 on 1001 samples reads 2.2337 with ``DENSE_LIMIT = 0`` against the
-    dense 2.2361.
+    Larger ones get power iteration on A^T A for the largest singular
+    value and on A^-1 A^-T, two banded triangular solves, for the smallest.
+    It approaches both from below, so the estimate can read low by about
+    1e-3 relative: AB-2 on 1001 samples reads 2.2337 with
+    ``DENSE_LIMIT = 0`` against the dense 2.2361.
     """
-    a, tau = system.matrix, system.window.tau
+    sch, tau = system.scheme, system.window.tau
     if tau <= DENSE_LIMIT:
-        svals = np.linalg.svd(a.toarray(), compute_uv=False)
+        a, aux = np.zeros((tau, tau)), len(sch.stencil) - 1  # no band array: lower peak memory
+        a.ravel()[: aux * (tau + 1) : tau + 1] = 1.0  # identity rows C
+        for k, s in enumerate(sch.stencil.tolist()):
+            a.ravel()[aux * tau + k :: tau + 1] = s  # band rows: A_h[aux + i, i + k]
+        svals = np.linalg.svd(a, compute_uv=False)
         if svals[-1] <= 1e-14 * svals[0]:
             raise SingularSystemError("grid-value system is numerically singular")
         return float(svals[0] / svals[-1])
 
-    bands = lmm.system_bands(system.scheme, tau)
+    bands = lmm.system_bands(sch, tau)
     rng = np.random.default_rng(1234)
-    sigma_max = _power_iterate(lambda v: a.T @ (a @ v), tau, rng)
+    sigma_max = _power_iterate(lambda v: apply_system_t(sch, apply_system(sch, v)), tau, rng)
     sigma_min_inv = _power_iterate(
         lambda v: _band_solve(bands, _band_solve(bands, v, trans="T")), tau, rng)
     if not np.isfinite(sigma_min_inv) or sigma_min_inv <= 0:

@@ -8,22 +8,20 @@ Scheme convention, with x_n the state at t_n and f the field:
     (1/h) * sum_{m=0}^{M} alpha_m x_{n-m} = sum_{m=0}^{M} beta_m f(x_{n-m})
 
 normalized so alpha_0 > 0.  The module also owns the one grid-value
-system A_h u = [c; b] over the index window (``grid_system``), built
-from one lower band storage of A_h (``system_bands``): the residual, the
-training losses, grid-value recovery and kappa_2 all read its matrix and
-right-hand side.  Alongside are an empirical-order fit,
-one-sided difference weights, and the root condition on the beta
-polynomial.
+system A_h u = [c; b] over the index window (``grid_system``), whose
+A_h ``apply_system``, ``apply_system_t`` and ``system_bands`` read from
+the scheme's stencil.  Alongside are an empirical-order fit, one-sided
+difference weights, and the root condition on the beta polynomial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
 import numpy.typing as npt
-from scipy import sparse
 
 Array = npt.NDArray[np.float64]
 
@@ -59,15 +57,18 @@ class LmmScheme:
             raise ValueError("scheme has an all-zero beta row")
         return int(nz.min()), int(nz.max())
 
-    @property
+    @cached_property
     def stencil(self) -> Array:
         """[beta_{m_max}, ..., beta_{m_min}]: the band of one multistep row.
 
         In ascending column order, so the last entry multiplies the newest
         unknown; ``beta_support`` trims zeros, so both ends are nonzero.
+        Computed once and read-only: every product with A_h reads it.
         """
         m_min, m_max = self.beta_support
-        return self.beta[m_min : m_max + 1][::-1].copy()
+        s = self.beta[m_min : m_max + 1][::-1].copy()
+        s.setflags(write=False)
+        return s
 
 
 def _adams_beta(steps: int, implicit: bool) -> list[Fraction]:
@@ -139,7 +140,7 @@ def residual(sch: LmmScheme, times: Array, states: Array, field) -> Array:
     system = grid_system(sch, states, h, startup=False)
     w = system.window
     fvals = np.array([field(s) for s in states[w.r : w.q + 1]])
-    return system.rhs - system.matrix @ fvals
+    return system.rhs - apply_system(sch, fvals)[w.aux_count:]
 
 
 def empirical_order(sch: LmmScheme, field, solution, h_list) -> float:
@@ -205,14 +206,12 @@ def index_window(sch: LmmScheme, n1: int) -> IndexWindow:
 
 
 def system_bands(sch: LmmScheme, tau: int) -> Array:
-    """A_h = [C; B_h] on tau unknowns in LAPACK lower band storage.
+    """A_h = [C; B_h] on tau unknowns in LAPACK lower band storage, for banded solves.
 
     ``bands[j, col] = A_h[col + j, col]``, shape (aux_count + 1, tau); the
-    last j entries of row j lie outside A_h and are never read.  The first
-    aux_count rows of A_h are C, identity rows that pin the earliest
-    unknowns to the one-sided difference values.  Below them multistep
-    row i carries ``sch.stencil`` in window columns i - aux_count..i, so
-    beta_{m_min} sits on the diagonal and A_h is lower triangular.
+    last j entries of row j lie outside A_h and are never read.  C is
+    aux_count identity rows; below them multistep row i carries
+    ``sch.stencil`` in window columns i - aux_count..i (lower triangular).
     """
     bands = np.repeat(sch.stencil[::-1, None], tau, axis=1)
     aux = bands.shape[0] - 1
@@ -222,15 +221,26 @@ def system_bands(sch: LmmScheme, tau: int) -> Array:
     return bands
 
 
-def system_matrix(sch: LmmScheme, n1: int) -> sparse.csr_array:
-    """A_h over the window r..q as one sparse (tau, tau) matrix.
+def apply_system(sch: LmmScheme, u: Array) -> Array:
+    """A_h u for u of shape (tau, ...); a band row sums ascending columns, as CSR does."""
+    s = sch.stencil.tolist()  # Python floats: cheaper per product than numpy scalars
+    aux, rows = len(s) - 1, u.shape[0] - len(s) + 1
+    out = np.array(u, dtype=np.float64)  # the identity rows' entries; the rest is overwritten
+    np.multiply(s[0], u[:rows], out=out[aux:])
+    for k in range(1, aux + 1):
+        out[aux:] += s[k] * u[k : k + rows]
+    return out
 
-    ``system_bands`` read as a DIA matrix, whose ``data`` has the same
-    layout; the rows of B_h are the multistep equations n = steps..n1.
-    """
-    tau = index_window(sch, n1).tau
-    bands = system_bands(sch, tau)
-    return sparse.dia_array((bands, -np.arange(len(bands))), shape=(tau, tau)).tocsr()
+
+def apply_system_t(sch: LmmScheme, r: Array) -> Array:
+    """A_h^T r for r of shape (tau, ...); each column sums down the rows of A_h, as CSR does."""
+    s = sch.stencil.tolist()
+    aux, rows = len(s) - 1, r.shape[0] - len(s) + 1
+    out = np.array(r, dtype=np.float64)  # the identity rows' entries; the rest is overwritten
+    np.multiply(s[aux], r[aux:], out=out[aux:])
+    for k in range(aux - 1, -1, -1):  # band row c - k meets column c; ascending rows
+        out[k : k + rows] += s[k] * r[aux:]
+    return out
 
 
 def fdm_coefficients(order: int) -> Array:
@@ -253,16 +263,15 @@ def fdm_coefficients(order: int) -> Array:
 class GridSystem:
     """A_h u = [c; b] on the grid values u_r..u_q of every state component.
 
-    ``matrix`` is A_h = [C; B_h] (``system_matrix``) and ``rhs`` is [c; b]
+    A_h = [C; B_h] is the scheme's (``apply_system``); ``rhs`` is [c; b]
     with one column per component: b, the (1/h) alpha combination of the
     states for n = steps..n1, below c, the one-sided difference estimates
     of the field at the first aux_count window indices.  Built with
-    ``startup=False`` it holds only the band rows B_h and b.
+    ``startup=False`` it holds only b.
     """
 
     scheme: LmmScheme
     window: IndexWindow
-    matrix: sparse.csr_array
     rhs: Array
 
 
@@ -293,8 +302,7 @@ def grid_system(sch: LmmScheme, states: Array, h: float, startup: bool = True) -
         mu = fdm_coefficients(sch.order)
         for j, n in enumerate(range(w.r, w.r + aux)):
             rhs[j] = mu @ states[n : n + sch.order + 1] / h
-    a = system_matrix(sch, n1)
-    return GridSystem(scheme=sch, window=w, matrix=a if startup else a[w.aux_count:], rhs=rhs)
+    return GridSystem(scheme=sch, window=w, rhs=rhs)
 
 
 @dataclass(frozen=True)

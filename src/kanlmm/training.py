@@ -9,9 +9,8 @@ combination of the data.  The augmented loss J_ah is
 values to one-sided difference estimates c, so its minimizer is unique
 because A_h is invertible, and it is the grid-value solution that
 ``discovery`` recovers from the same system by one banded triangular
-solve.  The output-space gradient
-is (2 / norm) A^T (A u - rhs), and the coefficient gradient follows from
-one backward pass.
+solve.  The output-space gradient is (2 / norm) A^T (A u - rhs), and
+the coefficient gradient follows from one backward pass.
 
 Training is deterministic: full-batch gradients, a seeded initializer,
 and a fixed summation order; a given (config, trajectory) pair always
@@ -109,28 +108,29 @@ class ResidualStencil:
 
     Exposes the loss and its gradient with respect to the network values
     U[n] ~ u(x_n) stacked over every grid state.  The residual is
-    A U[r..q] - rhs with ``matrix`` and ``rhs`` those of
-    ``lmm.grid_system``: J_ah uses all of A_h = [C; B_h] and [c; b], J_h
-    only the band rows B_h and b (``startup=False``).
+    A_h U[r..q] - rhs (``lmm.apply_system``) with ``rhs`` that of
+    ``lmm.grid_system``: J_ah uses every row, J_h only the band rows B_h
+    and b (``startup=False``); its start-up rows are zero.
     """
 
     def __init__(self, scheme: LmmScheme, traj: Trajectory, kind: str):
         if kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
         system = lmm.grid_system(scheme, traj.states, traj.h, startup=kind == "jah")
+        self.scheme = scheme
         self.window = w = system.window
-        self.matrix = system.matrix
-        # Transposing on every call would cost about as much as the product.
-        self.matrix_t = self.matrix.T.tocsr()
         self.rhs = system.rhs
         self.columns = slice(w.r, w.q + 1)
+        self.skip = w.tau - self.rhs.shape[0]  # start-up rows J_h leaves out
         self.norm = float(self.rhs.shape[0])
 
     def loss_and_grad(self, u: Array) -> tuple[float, Array]:
-        res = self.matrix @ u[self.columns] - self.rhs
+        res = lmm.apply_system(self.scheme, u[self.columns])
+        res[: self.skip] = 0.0
+        res[self.skip :] -= self.rhs
         grad = np.zeros_like(u)
-        grad[self.columns] = (2.0 / self.norm) * (self.matrix_t @ res)
-        return float(np.sum(res ** 2)) / self.norm, grad
+        np.multiply(2.0 / self.norm, lmm.apply_system_t(self.scheme, res), out=grad[self.columns])
+        return float(np.sum(res[self.skip :] ** 2)) / self.norm, grad
 
 
 def input_range_from_states(states: Array) -> Array:
@@ -212,31 +212,32 @@ def train(config: TrainConfig, traj: Trajectory,
     best_params = [p.copy() for p in params]
     best_iteration = 0
 
-    # The last pass only evaluates the final iterate.
-    for it in range(config.iterations + 1):
-        u = evaluator.forward(net.inner_coeffs, net.outer_coeffs)
-        loss, grad_u = stencil.loss_and_grad(u)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise TrainingDivergedError(it, loss)
-        if loss < best_loss:
-            best_loss = loss
-            for best, p in zip(best_params, params):
-                np.copyto(best, p)
-            best_u = u
-            best_iteration = it
-        if it == config.iterations:
-            break
-        trace[it] = loss
-        grads = [kan.flat_view(g) for g in evaluator.backward(net.outer_coeffs, grad_u)]
-        t = it + 1
-        c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
-        for p, m, v, g, step in zip(params, m_state, v_state, grads, steps):
-            for lo in range(0, p.size, ADAM_BLOCK):
-                sl = slice(lo, lo + ADAM_BLOCK)
-                n = p[sl].size
-                _adam_block(p[sl], m[sl], v[sl], g[sl], step, c1, c2,
-                            config, scratch[0, :n], scratch[1, :n])
-        del grads, g  # free this iteration's gradients before the next backward allocates
+    # The guard reports overflow; the last pass only evaluates the final iterate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(config.iterations + 1):
+            u = evaluator.forward(net.inner_coeffs, net.outer_coeffs)
+            loss, grad_u = stencil.loss_and_grad(u)
+            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+                raise TrainingDivergedError(it, loss)
+            if loss < best_loss:
+                best_loss = loss
+                for best, p in zip(best_params, params):
+                    np.copyto(best, p)
+                best_u = u
+                best_iteration = it
+            if it == config.iterations:
+                break
+            trace[it] = loss
+            grads = [kan.flat_view(g) for g in evaluator.backward(net.outer_coeffs, grad_u)]
+            t = it + 1
+            c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
+            for p, m, v, g, step in zip(params, m_state, v_state, grads, steps):
+                for lo in range(0, p.size, ADAM_BLOCK):
+                    sl = slice(lo, lo + ADAM_BLOCK)
+                    n = p[sl].size
+                    _adam_block(p[sl], m[sl], v[sl], g[sl], step, c1, c2,
+                                config, scratch[0, :n], scratch[1, :n])
+            del grads, g  # free this iteration's gradients before the next backward allocates
     final_loss = loss
 
     for best, p in zip(best_params, params):

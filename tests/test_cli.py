@@ -197,10 +197,17 @@ class TestTrain:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_divergence_exit_code(self, traj_csv, tmp_path):
-        rc = run_cli("train", "--data", str(traj_csv), "--grid", "4", "--hidden", "2",
-                     "--lr", "1e8", "--iters", "60", "--out", str(tmp_path / "m.json"))
-        assert rc == cli.EXIT_DIVERGED
+    def test_divergence_exit_code(self, traj_csv, tmp_path, capsys):
+        # 1e300 and 1e308 overflow inside the loss and Adam before the guard;
+        # under this suite's error::RuntimeWarning a numpy warning would raise
+        for lr in ("1e8", "1e300", "1e308"):
+            out = tmp_path / f"m-{lr}.json"
+            rc = run_cli("train", "--data", str(traj_csv), "--grid", "4", "--hidden", "2",
+                         "--lr", lr, "--iters", "60", "--out", str(out))
+            assert rc == cli.EXIT_DIVERGED
+            err = capsys.readouterr().err
+            assert err.startswith("error: loss diverged") and err.count("\n") == 1, err
+            assert not out.exists()
 
     def test_config_file_overrides_flags(self, traj_csv, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -67,14 +67,16 @@ def test_filter_matches_row_loop_reference(family, steps):
 
 
 @pytest.mark.parametrize("family,steps", ALL_SMALL_SCHEMES)
-def test_forward_substitution_matches_dense_solve(family, steps):
+def test_forward_substitution_matches_dense_solve(family, steps, dense_a_h):
     """The banded solve (forward substitution) against a dense LU solve."""
     # short window: schemes violating the root condition (e.g. AM-2/3)
     # amplify rounding exponentially in the number of rows, which would
     # swamp any solver comparison on long trajectories
-    system = grid_system(lmm.scheme(family, steps), linear_trajectory(0.05))
+    traj = linear_trajectory(0.05)
+    system = grid_system(lmm.scheme(family, steps), traj)
     u = discovery.solve_grid_values(system)
-    dense = np.linalg.solve(system.matrix.toarray(), system.rhs)  # start-up rows first
+    a = dense_a_h(system.scheme, traj.n_steps)  # start-up rows first
+    dense = np.linalg.solve(a, system.rhs)
     npt.assert_allclose(u, dense, rtol=1e-6, atol=1e-8)
 
 
@@ -94,12 +96,13 @@ def test_polynomial_trajectory_recovered_exactly(family, steps):
     npt.assert_allclose(u, expected, rtol=1e-8, atol=1e-8)
 
 
-def test_dense_matrix_structure():
+def test_dense_matrix_structure(dense_a_h):
     traj = linear_trajectory(0.1)
     sch = lmm.scheme("am", 1)
     system = grid_system(sch, traj)
-    a = system.matrix.toarray()
     w = system.window
+    a = lmm.apply_system(sch, np.eye(w.tau))  # A_h column by column
+    npt.assert_array_equal(a, dense_a_h(sch, traj.n_steps))
     assert a.shape == (w.tau, w.tau)
     npt.assert_array_equal(a[: w.aux_count, : w.aux_count],
                            np.eye(w.aux_count))
@@ -165,6 +168,14 @@ class TestConditionNumber:
             npt.assert_array_equal(system.scheme.stencil, [1.0])
             assert discovery.condition_number(system) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("family,steps", [("ab", 2), ("am", 1), ("bdf", 1), ("ab", 6)])
+    def test_dense_kappa_reads_the_entries_of_a_h(self, family, steps, dense_a_h):
+        # the SVD input, filled diagonal by diagonal, is A_h entry for entry
+        traj = linear_trajectory(1.0 / 120)
+        system = grid_system(lmm.scheme(family, steps), traj)
+        svals = np.linalg.svd(dense_a_h(system.scheme, traj.n_steps), compute_uv=False)
+        assert discovery.condition_number(system) == float(svals[0] / svals[-1])
+
     def test_iterative_estimate_matches_dense(self, monkeypatch):
         # ("ab", 3) has two start-up rows, so the transposed solve crosses C
         schemes = (("ab", 2), ("ab", 3), ("am", 1), ("bdf", 2))
@@ -206,7 +217,7 @@ def test_assemble_validation():
         lmm.grid_system(lmm.scheme("bdf", 6), traj.states, traj.h, startup=False)
     # the band rows alone fit where the start-up rows do not
     band = lmm.grid_system(lmm.scheme("am", 2), traj.states, traj.h, startup=False)
-    assert band.matrix.shape == (3, 5) and band.rhs.shape == (3, 2)
+    assert band.window.tau == 5 and band.window.aux_count == 2 and band.rhs.shape == (3, 2)
 
 
 def test_system_without_components_solves_to_empty_values():

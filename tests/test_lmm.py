@@ -184,28 +184,72 @@ def test_stencil_is_trimmed_band_in_column_order():
 
 @pytest.mark.parametrize("family", lmm.FAMILIES)
 @pytest.mark.parametrize("steps", range(1, 7))
-def test_system_matrix_matches_scheme_rows(family, steps):
-    # A_h written out entry by entry from alpha/beta bookkeeping: identity
-    # rows first, then row n = steps..n1 with beta_m in column n - m - r
+def test_system_matrix_matches_scheme_rows(family, steps, dense_a_h):
+    # the products and the band storage against A_h written out entry by entry
     sch = lmm.scheme(family, steps)
     for n1 in (steps, 20):
         w = lmm.index_window(sch, n1)
-        expected = np.zeros((w.tau, w.tau))
-        expected[: w.aux_count, : w.aux_count] = np.eye(w.aux_count)
-        for row, n in enumerate(range(steps, n1 + 1), start=w.aux_count):
-            for mm in range(steps + 1):
-                if sch.beta[mm] != 0.0:
-                    expected[row, n - mm - w.r] = sch.beta[mm]
-        a = lmm.system_matrix(sch, n1)
-        assert a.format == "csr"
-        npt.assert_array_equal(a.toarray(), expected)
-        # the band storage that both the sparse matrix and the banded solves read
+        expected = dense_a_h(sch, n1)
+        eye = np.eye(w.tau)
+        npt.assert_array_equal(lmm.apply_system(sch, eye), expected)
+        npt.assert_array_equal(lmm.apply_system_t(sch, eye), expected.T)
+        # the band storage that the banded solves read
         bands = lmm.system_bands(sch, w.tau)
         assert bands.shape == (w.aux_count + 1, w.tau)
         rebuilt = np.zeros_like(expected)
         for j in range(w.aux_count + 1):
             rebuilt += np.diag(bands[j, : w.tau - j], -j)
         npt.assert_array_equal(rebuilt, expected)
+
+
+def _row_loop_products(sch, v):
+    """A_h v and A_h^T v one entry at a time, each sum in CSR order: along
+    a row of A_h (A_h v) or down a column (A_h^T v), from the first entry."""
+    s = sch.stencil.tolist()
+    aux = len(s) - 1
+    tau = v.shape[0]
+    av, atv = np.empty_like(v), np.empty_like(v)
+    for c in range(v.shape[1]):
+        for i in range(tau):
+            if i < aux:
+                av[i, c] = v[i, c]
+            else:
+                acc = s[0] * v[i - aux, c]
+                for k in range(1, aux + 1):
+                    acc = acc + s[k] * v[i - aux + k, c]
+                av[i, c] = acc
+            acc = v[i, c] if i < aux else None
+            # band rows aux + b that reach column i, ascending: b = i - k
+            for b in range(max(0, i - aux), min(i, tau - aux - 1) + 1):
+                term = s[i - b] * v[aux + b, c]
+                acc = term if acc is None else acc + term
+            atv[i, c] = acc
+    return av, atv
+
+
+@pytest.mark.parametrize("family", lmm.FAMILIES)
+@pytest.mark.parametrize("steps", range(1, 7))
+def test_products_match_csr_order_row_loop_bitwise(family, steps):
+    sch = lmm.scheme(family, steps)
+    rng = np.random.default_rng(steps)
+    for n1 in (steps + sch.order, 50):
+        tau = lmm.index_window(sch, n1).tau
+        for d in (1, 3):
+            v = rng.standard_normal((tau, d))
+            av, atv = _row_loop_products(sch, v)
+            assert lmm.apply_system(sch, v).tobytes() == av.tobytes()
+            assert lmm.apply_system_t(sch, v).tobytes() == atv.tobytes()
+    # one-dimensional vectors, as power iteration passes them
+    v = rng.standard_normal(tau)
+    npt.assert_array_equal(lmm.apply_system(sch, v), lmm.apply_system(sch, v[:, None])[:, 0])
+    npt.assert_array_equal(lmm.apply_system_t(sch, v), lmm.apply_system_t(sch, v[:, None])[:, 0])
+
+
+def test_stencil_is_computed_once_and_read_only():
+    sch = lmm.scheme("ab", 3)
+    assert sch.stencil is sch.stencil
+    with pytest.raises(ValueError):
+        sch.stencil[0] = 1.0
 
 
 @pytest.mark.parametrize("family,steps", [("ab", 3), ("bdf", 2)])

@@ -1,13 +1,15 @@
 """Residual-loss and trainer tests.
 
-The vectorized losses are checked against a scalar-loop oracle, their
-gradients against central differences, and the zero of the augmented
+The vectorized losses are checked against a scalar-loop oracle and,
+bit for bit, against A_h as a scipy CSR matrix, their gradients against
+central differences, and the zero of the augmented
 loss against the grid values recovered by the exact linear solve (two
 independent routes to the same minimizer).
 """
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 from kanlmm import discovery, kan, lmm, odeint, systems, training
 from kanlmm.analysis import l2_seminorm
@@ -82,15 +84,55 @@ def test_exact_grid_values_zero_the_augmented_loss():
 
 
 @pytest.mark.parametrize("family,steps", [("am", 1), ("ab", 3), ("bdf", 2)])
-def test_stencil_reads_the_one_grid_system(family, steps):
+def test_stencil_reads_the_one_grid_system(family, steps, dense_a_h):
     traj = linear_trajectory(0.05)
     sch = lmm.scheme(family, steps)
+    u = np.random.default_rng(steps).standard_normal(traj.states.shape)
     for kind, startup in (("jah", True), ("jh", False)):
         stencil = training.ResidualStencil(sch, traj, kind)
         system = lmm.grid_system(sch, traj.states, traj.h, startup=startup)
-        assert stencil.matrix.shape == system.matrix.shape
-        npt.assert_array_equal(stencil.matrix.toarray(), system.matrix.toarray())
+        assert stencil.window == system.window
         npt.assert_array_equal(stencil.rhs, system.rhs)
+        # the residual of the dense A_h (its band rows alone for J_h)
+        w = system.window
+        a = dense_a_h(sch, traj.n_steps)[w.tau - system.rhs.shape[0]:]
+        res = a @ u[w.r : w.q + 1] - system.rhs
+        loss, grad = stencil.loss_and_grad(u)
+        npt.assert_allclose(loss, np.sum(res ** 2) / len(res), rtol=1e-12)
+        npt.assert_allclose(grad[w.r : w.q + 1], 2.0 / len(res) * (a.T @ res),
+                            rtol=1e-12, atol=1e-14)
+        npt.assert_array_equal(grad[: w.r], 0.0)
+        npt.assert_array_equal(grad[w.q + 1:], 0.0)
+
+
+def _csr_loss_and_grad(sch, traj, kind, u):
+    """J_h / J_ah and gradient through A_h as a scipy CSR matrix: the band
+    storage read as DIA and converted, with the CSR transpose copy."""
+    w = lmm.index_window(sch, traj.n_steps)
+    bands = lmm.system_bands(sch, w.tau)
+    a = sparse.dia_array((bands, -np.arange(len(bands))), shape=(w.tau, w.tau)).tocsr()
+    system = lmm.grid_system(sch, traj.states, traj.h, startup=kind == "jah")
+    if kind == "jh":
+        a = a[w.aux_count:]
+    res = a @ u[w.r : w.q + 1] - system.rhs
+    grad = np.zeros_like(u)
+    grad[w.r : w.q + 1] = (2.0 / res.shape[0]) * (a.T.tocsr() @ res)
+    return float(np.sum(res ** 2)) / res.shape[0], grad, a
+
+
+@pytest.mark.parametrize("family", lmm.FAMILIES)
+@pytest.mark.parametrize("steps", range(1, 7))
+def test_loss_and_grad_match_csr_product_bitwise(family, steps, dense_a_h):
+    traj = linear_trajectory(0.02)
+    sch = lmm.scheme(family, steps)
+    u = np.random.default_rng(steps).standard_normal(traj.states.shape)
+    for kind in training.LOSS_KINDS:
+        loss, grad, a = _csr_loss_and_grad(sch, traj, kind, u)
+        dense = dense_a_h(sch, traj.n_steps)
+        npt.assert_array_equal(a.toarray(), dense[dense.shape[0] - a.shape[0]:])
+        got_loss, got_grad = training.ResidualStencil(sch, traj, kind).loss_and_grad(u)
+        assert got_loss == loss
+        assert got_grad.tobytes() == grad.tobytes()  # sign bits included
 
 
 def test_true_field_sits_at_truncation_floor():
