@@ -14,6 +14,10 @@ kanlmm solve-grid --data opinion.csv --system opinion --dim 4 --scheme ab --step
 kanlmm solve-grid --data opinion.csv --system opinion --dim 4 --scheme bdf --steps 2 --out opinion-bdf2.csv
 kanlmm gen --system linear --h 4e-4 --out fine.csv
 kanlmm solve-grid --data fine.csv --scheme ab --steps 3 --out fine-ab3.csv
+kanlmm solve-grid --data fine.csv --scheme am --steps 1 --out fine-am1.csv
+# AM-2 violates the root condition: exit 4 and no table
+if kanlmm solve-grid --data fine.csv --scheme am --steps 2 --out fine-am2.csv; then exit 1; else test $? -eq 4; fi
+test ! -e fine-am2.csv
 kanlmm train --data opinion.csv --system opinion --dim 4 --grid 4 --hidden 3 --iters 5 --out opinion-model.json
 kanlmm experiment gronwall --out-dir gronwall
 python -c "from kanlmm import odeint; print(odeint.load_trajectory('traj.csv').n_steps, odeint.load_trajectory('pred.csv').n_steps)"

@@ -9,8 +9,8 @@ from .bspline import BSplineBasis, eval_basis, eval_basis_derivative, make_basis
 from .lmm import (GridSystem, IndexWindow, LmmScheme, RootConditionReport, all_schemes,
                   empirical_order, fdm_coefficients, grid_system, index_window,
                   residual, root_condition, scheme)
-from .odeint import (IntegrationError, NonFiniteStateError, StepUnderflowError,
-                     Trajectory, integrate, load_trajectory, save_trajectory)
+from .odeint import (IntegrationError, NonFiniteStateError, Trajectory, integrate,
+                     load_trajectory, save_trajectory)
 from .discovery import (SingularSystemError, assemble, condition_number,
                         solve_grid_values)
 from .kan import (BatchEvaluator, KanNetwork, ModelFormatError, ModelVersionError,

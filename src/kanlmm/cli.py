@@ -124,10 +124,9 @@ def cmd_solve_grid(args) -> int:
         columns["ftrue"] = systems.field_rows(true_field, states)
     header = ["t"] + [f"{name}{i + 1}" for name in columns for i in range(traj.dim)]
     odeint.write_csv(args.out, header, np.column_stack([times, *columns.values()]))
-    estimate = (" (power-iteration estimate; can read about 1e-3 low)"
-                if window.tau > discovery.DENSE_LIMIT else "")
-    print(f"wrote {args.out}: window [{window.r}, {window.q}], tau = {window.tau}, "
-          f"kappa2 = {kappa:.6g}{estimate}")
+    kappa_text = (f"kappa2 <= {kappa:.6g} (1-/inf-norm bound)"
+                  if window.tau > discovery.DENSE_LIMIT else f"kappa2 = {kappa:.6g}")
+    print(f"wrote {args.out}: window [{window.r}, {window.q}], tau = {window.tau}, {kappa_text}")
     if "ftrue" in columns:
         print(f"max grid error vs true field: {np.max(np.abs(fhat - columns['ftrue'])):.6g}")
     return EXIT_OK

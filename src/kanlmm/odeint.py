@@ -28,10 +28,6 @@ class IntegrationError(RuntimeError):
     """Reference or model integration failed."""
 
 
-class StepUnderflowError(IntegrationError):
-    """The adaptive integrator could not meet tolerances with a viable step."""
-
-
 class NonFiniteStateError(IntegrationError):
     """Integration produced an overflow, NaN, or infinity."""
 
@@ -109,9 +105,7 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     Returns shape (len(times), d), one row per entry of ``times``, which
     must lie in [t0, t1] and may repeat or come in any order.  Each state
     is read from the interpolant of the step that holds its time.  Raises
-    StepUnderflowError / NonFiniteStateError when the integrator gives
-    up; stiff stretches that only reject steps are retried once with
-    max_step = 1e-4 before failing.
+    IntegrationError / NonFiniteStateError when the integrator gives up.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
@@ -124,18 +118,10 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     def rhs(_t, y):
         return field(y)
 
-    kwargs = dict(method="DOP853", rtol=TOLERANCE, atol=TOLERANCE, t_eval=t_eval)
-    sol = solve_ivp(rhs, (t0, t1), x0, **kwargs)
+    sol = solve_ivp(rhs, (t0, t1), x0, method="DOP853", rtol=TOLERANCE, atol=TOLERANCE,
+                    t_eval=t_eval)
     if not sol.success:
-        # One retry with a capped step handles fields with fast transients
-        # that defeat the step controller on the first pass.
-        kwargs["max_step"] = 1e-4
-        sol = solve_ivp(rhs, (t0, t1), x0, **kwargs)
-    if not sol.success:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StepUnderflowError(msg)
-        raise IntegrationError(msg)
+        raise IntegrationError(sol.message or "integration failed")
     states = sol.y.T[rows]
     if not np.all(np.isfinite(states)):
         raise NonFiniteStateError("integration produced non-finite states")

@@ -10,7 +10,7 @@ field over many states in blocks of rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,6 @@ class SystemDef:
     x0: Array
     t_train: tuple[float, float]
     solution: Callable[[Array], Array] | None = None
-    params: dict = dc_field(default_factory=dict)
 
 
 def linear_system() -> SystemDef:
@@ -88,7 +87,7 @@ def linear_system() -> SystemDef:
     )
 
 
-def glycolytic_system(params: dict | None = None) -> SystemDef:
+def glycolytic_system() -> SystemDef:
     """Seven-species glycolytic oscillator.
 
     Standard Selkov-style reaction network; the S3 consumption term uses
@@ -98,13 +97,7 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
     A batch's rows may differ from the per-state field in the last bits:
     an array's ``**`` does not round as a scalar's does.
     """
-    p = dict(GLYCOLYTIC_PARAMS)
-    if params:
-        unknown = set(params) - set(p)
-        if unknown:
-            raise ValueError(f"unknown glycolytic parameters: {sorted(unknown)}")
-        p.update(params)
-
+    p = GLYCOLYTIC_PARAMS
     J0, k1, k2, k3 = p["J0"], p["k1"], p["k2"], p["k3"]
     k4, k5, k6, k7 = p["k4"], p["k5"], p["k6"], p["k7"]
     kap, q, K1, psi = p["kappa"], p["q"], p["K1"], p["psi"]
@@ -131,7 +124,6 @@ def glycolytic_system(params: dict | None = None) -> SystemDef:
         field=field,
         x0=np.array(GLYCOLYTIC_X0),
         t_train=(0.0, 10.0),
-        params=p,
     )
 
 
@@ -171,7 +163,6 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
         field=field,
         x0=x0,
         t_train=t_train,
-        params={"alpha": alpha, "seed": seed, "init_range": OPINION_INIT_RANGE},
     )
 
 

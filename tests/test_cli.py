@@ -98,16 +98,17 @@ class TestSolveGrid:
         want = np.array([field(x) for x in table[:, 1:6]])
         npt.assert_array_equal(table[:, 11:16], want)  # 17 digits read back exactly
 
-    def test_kappa_above_dense_limit_is_labelled_an_estimate(self, traj_csv, tmp_path, capsys):
+    def test_kappa_above_dense_limit_is_labelled_a_bound(self, traj_csv, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("solve-grid", "--data", str(traj_csv), "--out", str(out)) == 0
-        assert "estimate" not in capsys.readouterr().out  # 51 samples: dense SVD
+        line = capsys.readouterr().out.strip()  # 51 samples: dense SVD
+        float(line.split("kappa2 = ")[1])  # the value ends the line: no label
         data = tmp_path / "fine.csv"
         assert run_cli("gen", "--system", "linear", "--h", "4e-4", "--out", str(data)) == 0
         capsys.readouterr()
         assert run_cli("solve-grid", "--data", str(data), "--out", str(out)) == 0
         line = capsys.readouterr().out.strip()
-        assert "tau = 2501" in line and "power-iteration estimate" in line
+        assert "tau = 2501" in line and "kappa2 <= 6124.34 (1-/inf-norm bound)" in line
 
     def test_fresh_process_does_not_import_scipy_signal(self, traj_csv, tmp_path):
         out = tmp_path / "grid.csv"
@@ -152,10 +153,11 @@ class TestSolveGrid:
                      "--out", str(tmp_path / "grid.csv"))
         assert rc == cli.EXIT_IO
 
-    def test_unstable_scheme_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("h", ["1e-3", "4e-4"])  # tau at and above DENSE_LIMIT
+    def test_unstable_scheme_writes_nothing(self, h, tmp_path, capsys):
         # AM-4 violates the root condition: its grid values overflow
         data, out = tmp_path / "fine.csv", tmp_path / "grid.csv"
-        assert run_cli("gen", "--system", "linear", "--h", "1e-3", "--out", str(data)) == 0
+        assert run_cli("gen", "--system", "linear", "--h", h, "--out", str(data)) == 0
         capsys.readouterr()
         rc = run_cli("solve-grid", "--data", str(data), "--scheme", "am", "--steps", "4",
                      "--out", str(out))

@@ -8,6 +8,7 @@ convergence order on the linear benchmark.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg.lapack import dtbtrs
 
 from kanlmm import discovery, lmm, systems
 from kanlmm.odeint import Trajectory
@@ -176,16 +177,51 @@ class TestConditionNumber:
         svals = np.linalg.svd(dense_a_h(system.scheme, traj.n_steps), compute_uv=False)
         assert discovery.condition_number(system) == float(svals[0] / svals[-1])
 
-    def test_iterative_estimate_matches_dense(self, monkeypatch):
-        # ("ab", 3) has two start-up rows, so the transposed solve crosses C
-        schemes = (("ab", 2), ("ab", 3), ("am", 1), ("bdf", 2))
-        grid_systems = [grid_system(lmm.scheme(f, m), linear_trajectory(1.0 / 300))
-                        for f, m in schemes]
-        dense = [discovery.condition_number(system) for system in grid_systems]
-        monkeypatch.setattr(discovery, "DENSE_LIMIT", 10)
-        for scheme_id, system, expected in zip(schemes, grid_systems, dense):
-            iterative = discovery.condition_number(system)
-            assert iterative == pytest.approx(expected, rel=1e-2), scheme_id
+    def test_norm_bound_brackets_dense_kappa(self, monkeypatch):
+        # every scheme except AM-2..6, whose A_h^-1 grows geometrically
+        schemes = [sch for sch in lmm.all_schemes() if lmm.root_condition(sch).max_modulus <= 1.0]
+        assert len(schemes) == 13
+        for sch in schemes:
+            for n1 in (sch.steps + sch.order, 50, 300, 1000):
+                system = grid_system(sch, linear_trajectory(1.0 / n1))
+                monkeypatch.setattr(discovery, "DENSE_LIMIT", 2000)
+                dense = discovery.condition_number(system)
+                monkeypatch.setattr(discovery, "DENSE_LIMIT", 0)
+                bound = discovery.condition_number(system)
+                assert dense * (1 - 1e-12) <= bound <= 3 * dense, (sch.family, sch.steps, n1)
+
+    def test_norm_bound_reads_the_exact_norms(self, monkeypatch, dense_a_h):
+        # the closed forms and the one-solve norms of A_h^-1 against dense norms
+        monkeypatch.setattr(discovery, "DENSE_LIMIT", 0)
+        for sch in lmm.all_schemes():
+            for n1 in (sch.steps + sch.order, 50):
+                a = dense_a_h(sch, n1)
+                inv = np.linalg.inv(a)
+                norms = [np.linalg.norm(m, p) for m in (a, inv) for p in (1, np.inf)]
+                bound = discovery.condition_number(grid_system(sch, linear_trajectory(1.0 / n1)))
+                assert bound == pytest.approx(np.sqrt(np.prod(norms)), rel=1e-12), (sch, n1)
+
+    def test_norm_bound_of_unstable_adams_moulton_raises(self):
+        # tau > DENSE_LIMIT: the impulse response overflows, with no warning
+        traj = linear_trajectory(4e-4)
+        for steps in range(2, 7):
+            system = grid_system(lmm.scheme("am", steps), traj)
+            assert system.window.tau > discovery.DENSE_LIMIT
+            with pytest.raises(discovery.SingularSystemError, match="numerically singular"):
+                discovery.condition_number(system)
+
+    def test_norm_bound_takes_one_banded_solve(self, monkeypatch):
+        calls = []
+
+        def counting_dtbtrs(*args, **kwargs):
+            calls.append(args[1].shape)
+            return dtbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(discovery, "dtbtrs", counting_dtbtrs)
+        monkeypatch.setattr(discovery, "DENSE_LIMIT", 0)
+        system = grid_system(lmm.scheme("ab", 3), linear_trajectory(0.01))
+        assert discovery.condition_number(system) >= 1.0
+        assert calls == [(system.window.tau, system.window.aux_count + 1)]
 
     def test_adams_kappa_does_not_blow_up_with_length(self):
         sch = lmm.scheme("ab", 2)

@@ -239,7 +239,7 @@ def test_products_match_csr_order_row_loop_bitwise(family, steps):
             av, atv = _row_loop_products(sch, v)
             assert lmm.apply_system(sch, v).tobytes() == av.tobytes()
             assert lmm.apply_system_t(sch, v).tobytes() == atv.tobytes()
-    # one-dimensional vectors, as power iteration passes them
+    # a one-dimensional vector reads as one column
     v = rng.standard_normal(tau)
     npt.assert_array_equal(lmm.apply_system(sch, v), lmm.apply_system(sch, v[:, None])[:, 0])
     npt.assert_array_equal(lmm.apply_system_t(sch, v), lmm.apply_system_t(sch, v[:, None])[:, 0])

@@ -70,16 +70,6 @@ class TestGlycolyticSystem:
         assert f0[6] == pytest.approx(-0.0772, abs=1e-12)
         assert f0[0] == pytest.approx(2.5 - 78.75 / (1 + (0.7 / 0.52) ** 4), abs=1e-12)
 
-    def test_parameter_override(self):
-        sysd = systems.glycolytic_system({"J0": 3.0})
-        assert sysd.params["J0"] == 3.0
-        assert sysd.params["k1"] == 100.0
-        assert sysd.field(sysd.x0)[0] == systems.glycolytic_system().field(sysd.x0)[0] + 0.5
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            systems.glycolytic_system({"k9": 1.0})
-
     def test_short_trajectory_stays_positive(self):
         sysd = systems.glycolytic_system()
         traj = odeint.integrate(sysd.field, sysd.x0, 0.0, 2.0, 1e-2)
