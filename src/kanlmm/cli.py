@@ -103,18 +103,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve_grid(args) -> int:
     traj = odeint.load_trajectory(args.data)
-    scheme = lmm.scheme(args.scheme, args.steps)
-    system = lmm.grid_system(scheme, traj.states, traj.h)
+    system = lmm.grid_system(lmm.scheme(args.scheme, args.steps), traj.states, traj.h)
     window = system.window
-    try:
-        fhat = discovery.solve_grid_values(system)
-        kappa = discovery.condition_number(system)
-        if not np.all(np.isfinite(fhat)):
-            raise discovery.SingularSystemError("recovered grid values are not finite")
-    except discovery.SingularSystemError as exc:
-        modulus = lmm.root_condition(scheme).max_modulus
-        raise type(exc)(f"{exc}; {scheme.family}-{scheme.steps} beta polynomial "
-                        f"has max |root| = {modulus:.4g}") from None
+    kappa = discovery.condition_number(system)
+    fhat = discovery.solve_grid_values(system)
     sl = slice(window.r, window.q + 1)
     times = traj.times[sl]
     states = traj.states[sl]
@@ -164,11 +156,20 @@ def cmd_predict(args) -> int:
 
 def cmd_bounds(args) -> int:
     holder = analysis.HolderSpec(alpha=args.alpha, lam=args.lam, radius=args.radius)
-    lipschitz = args.lipschitz
-    if args.model:
-        lipschitz = analysis.lipschitz_estimate(kan.load_model(args.model))
-    n_hidden = args.hidden if args.hidden is not None else 2 * args.d + 1
-    report = analysis.bounds_report(holder, args.k, args.grid, n_hidden, args.d, lipschitz)
+    if args.model:  # the model fixes k, G, N, d and L; a flag may only repeat k, G, N or d
+        net = kan.load_model(args.model)
+        inputs = {"k": net.basis.degree, "grid": net.basis.intervals, "hidden": net.hidden,
+                  "d": net.d_in, "lipschitz": analysis.lipschitz_estimate(net)}
+        for flag, value in inputs.items():
+            given = getattr(args, flag)
+            if given is not None and (given != value or flag == "lipschitz"):
+                raise ValueError(f"--{flag} {given} conflicts with --model's {flag} = {value:.10g}")
+    elif args.d is None:
+        raise ValueError("bounds needs --d, or a --model to read it from")
+    else:
+        inputs = {"k": 3, "grid": 64, "hidden": 2 * args.d + 1, "d": args.d, "lipschitz": 1.0}
+        inputs.update({flag: v for flag in inputs if (v := getattr(args, flag)) is not None})
+    report = analysis.bounds_report(holder, *inputs.values())
     print("bound report")
     for key, value in report.inputs.items():
         print(f"  {key} = {value}")
@@ -256,15 +257,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True)
 
     p = add("bounds", cmd_bounds, "evaluate the approximation bound calculators")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--k", type=int, default=None, help="spline degree (default 3)")
+    p.add_argument("--grid", type=int, default=None, help="interval count G (default 64)")
     p.add_argument("--hidden", type=int, default=None, help="hidden width (default 2d+1)")
-    p.add_argument("--d", type=int, required=True, help="input dimension")
+    p.add_argument("--d", type=int, default=None, help="input dimension (needed without --model)")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--lipschitz", type=float, default=1.0)
-    p.add_argument("--model", default=None, help="bound the Lipschitz constant from this model")
+    p.add_argument("--lipschitz", type=float, default=None, help="default 1; not with --model")
+    p.add_argument("--model", default=None, help="bound this model: its own k, G, N, d and L")
     p.add_argument("--out", default=None, help="also write the report as JSON")
 
     p = add("experiment", cmd_experiment, "run a benchmark experiment protocol")

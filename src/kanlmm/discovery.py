@@ -31,7 +31,11 @@ DENSE_LIMIT = 2000
 
 
 class SingularSystemError(RuntimeError):
-    """The assembled system is numerically singular."""
+    """A_h of ``sch`` is singular or its solve is not finite; names the beta max |root|."""
+
+    def __init__(self, sch: LmmScheme, problem: str):
+        super().__init__(f"{problem}; {sch.family}-{sch.steps} beta polynomial has max "
+                         f"|root| = {lmm.root_condition(sch).max_modulus:.4g}")
 
 
 def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
@@ -47,13 +51,13 @@ def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
     return replace(system, rhs=system.rhs[:, [component]])
 
 
-def _band_solve(bands: Array, rhs: Array) -> Array:
-    """A^-1 rhs for A lower triangular in band storage ``bands``."""
+def _band_solve(system: GridSystem, rhs: Array, problem: str) -> Array:
+    """A_h^-1 rhs; raises SingularSystemError(scheme, problem) unless it is finite."""
     if rhs.size == 0:
         return np.zeros_like(rhs)  # scipy 1.17.1's dtbtrs corrupts the heap when b has no columns
-    x, info = dtbtrs(bands, rhs, uplo="L")
-    if info != 0:
-        raise SingularSystemError(f"grid-value system is singular (dtbtrs info {info})")
+    x, info = dtbtrs(lmm.system_bands(system.scheme, system.window.tau), rhs, uplo="L")
+    if info != 0 or not np.all(np.isfinite(x)):  # info > 0: a zero on the diagonal
+        raise SingularSystemError(system.scheme, problem)
     return x
 
 
@@ -61,8 +65,11 @@ def solve_grid_values(system: GridSystem) -> Array:
     """Grid values u_r..u_q, (tau, d): A_h^-1 [c; b], one banded triangular solve.
 
     ``system`` must hold its start-up rows (``lmm.grid_system``'s default).
+    Non-finite values (AM-3 on 1001 samples) raise SingularSystemError.
     """
-    return _band_solve(lmm.system_bands(system.scheme, system.window.tau), system.rhs)
+    if system.rhs.shape[0] != system.window.tau:
+        raise ValueError(f"grid-value system lacks its {system.window.aux_count} start-up rows")
+    return _band_solve(system, system.rhs, "recovered grid values are not finite")
 
 
 def condition_number(system: GridSystem) -> float:
@@ -79,7 +86,7 @@ def condition_number(system: GridSystem) -> float:
     for BDF.
     """
     sch, tau = system.scheme, system.window.tau
-    aux = len(sch.stencil) - 1
+    aux, singular = len(sch.stencil) - 1, "grid-value system is numerically singular"
     if tau <= DENSE_LIMIT:
         a = np.zeros((tau, tau))  # no band array: lower peak memory
         a.ravel()[: aux * (tau + 1) : tau + 1] = 1.0  # identity rows C
@@ -87,12 +94,10 @@ def condition_number(system: GridSystem) -> float:
             a.ravel()[aux * tau + k :: tau + 1] = s  # band rows: A_h[aux + i, i + k]
         svals = np.linalg.svd(a, compute_uv=False)
         if svals[-1] <= 1e-14 * svals[0]:
-            raise SingularSystemError("grid-value system is numerically singular")
+            raise SingularSystemError(sch, singular)
         return float(svals[0] / svals[-1])
 
-    x = np.abs(_band_solve(lmm.system_bands(sch, tau), np.eye(tau, aux + 1)))
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("grid-value system is numerically singular")
+    x = np.abs(_band_solve(system, np.eye(tau, aux + 1), singular))
     inv_1 = x.sum(axis=0).max()  # later columns are truncated copies of g
     row_sums = x[:, :aux].sum(axis=1)  # a row of C is its own row of A_h^-1: sum 1
     row_sums[aux:] += np.cumsum(x[aux:, aux])  # row i >= aux meets g[0..i - aux]

@@ -23,6 +23,9 @@ from math import comb
 import numpy as np
 import numpy.typing as npt
 
+from .odeint import Trajectory
+from .systems import field_rows
+
 Array = npt.NDArray[np.float64]
 
 FAMILIES = ("ab", "am", "bdf")
@@ -122,24 +125,17 @@ def all_schemes() -> list[LmmScheme]:
     return [scheme(f, m) for f in FAMILIES for m in range(1, MAX_STEPS + 1)]
 
 
-def residual(sch: LmmScheme, times: Array, states: Array, field) -> Array:
+def residual(sch: LmmScheme, traj: Trajectory, field) -> Array:
     """Multistep residual of a trajectory against a candidate field.
 
     r_n = (1/h) sum_m alpha_m x_{n-m} - sum_m beta_m field(x_{n-m}) for
     n = steps..N1, i.e. b - B_h f over the index window, returned as an
-    array of shape (N1 - steps + 1, d).  ``times`` must be equidistant.
+    array of shape (N1 - steps + 1, d).  The field is evaluated through
+    ``systems.field_rows``, so it must accept an (m, d) batch.
     """
-    times = np.asarray(times, dtype=np.float64)
-    states = np.asarray(states, dtype=np.float64)
-    n1 = states.shape[0] - 1
-    if states.ndim != 2 or times.shape[0] != states.shape[0] or n1 < 1:
-        raise ValueError("states must be (n_points >= 2, d) aligned with times")
-    h = (times[-1] - times[0]) / n1
-    if h <= 0 or not np.allclose(np.diff(times), h, rtol=0.0, atol=1e-9 * max(abs(h), 1.0)):
-        raise ValueError("times must be strictly increasing and equidistant")
-    system = grid_system(sch, states, h, startup=False)
+    system = grid_system(sch, traj.states, traj.h, startup=False)
     w = system.window
-    fvals = np.array([field(s) for s in states[w.r : w.q + 1]])
+    fvals = field_rows(field, traj.states[w.r : w.q + 1])
     return system.rhs - apply_system(sch, fvals)[w.aux_count:]
 
 
@@ -160,9 +156,8 @@ def empirical_order(sch: LmmScheme, field, solution, h_list) -> float:
     errs = []
     for h in hs:
         ts = h * np.arange(int(round(1.0 / h)) + 1)
-        states = np.asarray(solution(ts), dtype=np.float64)
-        r = residual(sch, ts, states, field)
-        errs.append(np.max(np.abs(r)))
+        traj = Trajectory(t0=0.0, t1=float(ts[-1]), h=float(h), states=solution(ts))
+        errs.append(np.max(np.abs(residual(sch, traj, field))))
     errs = np.asarray(errs)
     if np.all(errs < 1e-14):
         raise DegenerateFitError(
@@ -196,7 +191,7 @@ class IndexWindow:
 def index_window(sch: LmmScheme, n1: int) -> IndexWindow:
     """Window of grid indices whose f-values enter the multistep equations."""
     if n1 < sch.steps:
-        raise ValueError(f"trajectory must have n1 >= steps, got n1={n1} steps={sch.steps}")
+        raise ValueError(f"trajectory too short: need n1 >= steps = {sch.steps}, got {n1}")
     m_min, m_max = sch.beta_support
     r = sch.steps - m_max
     q = n1 - m_min
@@ -284,11 +279,9 @@ def grid_system(sch: LmmScheme, states: Array, h: float, startup: bool = True) -
     """
     n1, d = states.shape[0] - 1, states.shape[1]
     m = sch.steps
-    needed = m + sch.order if startup else m
-    if n1 < needed:
-        terms = "steps + order" if startup else "steps"
-        raise ValueError(f"trajectory too short: need n1 >= {terms} = {needed}, got {n1}")
-    w = index_window(sch, n1)
+    if startup and n1 < (needed := m + sch.order):
+        raise ValueError(f"trajectory too short: need n1 >= steps + order = {needed}, got {n1}")
+    w = index_window(sch, n1)  # checks n1 >= steps
     aux = w.aux_count if startup else 0
     rows = n1 - m + 1
     rhs = np.zeros((aux + rows, d))

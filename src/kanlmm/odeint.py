@@ -50,8 +50,8 @@ class Trajectory:
             raise ValueError("states must be a (n_points >= 2, d) array")
         if not np.all(np.isfinite(states)):
             raise NonFiniteStateError("trajectory contains non-finite states")
-        if not (np.isfinite(self.t0) and np.isfinite(self.h)) or self.h <= 0:
-            raise ValueError("t0 must be finite and h positive")
+        if not np.all(np.isfinite([self.t0, self.t1, self.h])) or self.h <= 0:
+            raise ValueError("t0, t1 and h must be finite and h positive")
         n1 = states.shape[0] - 1
         span = self.t1 - self.t0
         if abs(n1 * self.h - span) > 1e-12 * max(abs(span), 1.0):

@@ -391,6 +391,28 @@ class TestBounds:
         expected = analysis.lipschitz_estimate(kan.load_model(model_json))
         assert f"L = {expected}" in capsys.readouterr().out
 
+    def test_model_shape_is_bounded(self, model_json, tmp_path):
+        # --model alone: k, G, N and d are the model's (TRAIN_QUICK), not the flag defaults
+        out = tmp_path / "bounds.json"
+        assert run_cli("bounds", "--model", str(model_json), "--out", str(out)) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert (inputs["k"], inputs["G"], inputs["N"], inputs["d"]) == (3, 4, 2, 2)
+
+    @pytest.mark.parametrize("flags", [["--grid", "64"], ["--hidden", "5"], ["--d", "3"],
+                                       ["--k", "2"], ["--lipschitz", "1"]],
+                             ids=["grid", "hidden", "d", "k", "lipschitz"])
+    def test_flag_conflicting_with_model_is_usage_error(self, model_json, tmp_path, capsys,
+                                                        flags):
+        out = tmp_path / "bounds.json"
+        rc = run_cli("bounds", "--model", str(model_json), *flags, "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_d_required_without_model(self, capsys):
+        assert run_cli("bounds", "--k", "3") == cli.EXIT_USAGE
+        assert "--d" in capsys.readouterr().err
+
     def test_bad_holder_alpha(self):
         assert run_cli("bounds", "--d", "2", "--alpha", "0") == cli.EXIT_USAGE
 

@@ -239,6 +239,28 @@ class TestConditionNumber:
         with pytest.raises(discovery.SingularSystemError):
             discovery.condition_number(system)
 
+    def test_singular_message_names_max_root(self):
+        system = grid_system(lmm.scheme("am", 4), linear_trajectory(0.02))  # 51 samples
+        with pytest.raises(discovery.SingularSystemError,
+                           match=r"^grid-value system is numerically singular; "
+                                 r"am-4 beta polynomial has max \|root\| = 2\.977$"):
+            discovery.condition_number(system)
+
+
+def test_non_finite_grid_values_raise():
+    # AM-3's grid values overflow over 1001 samples; no inf reaches the caller
+    system = grid_system(lmm.scheme("am", 3), linear_trajectory(1e-3))
+    with pytest.raises(discovery.SingularSystemError,
+                       match=r"^recovered grid values are not finite; am-3 .* = 2\.366$"):
+        discovery.solve_grid_values(system)
+
+
+def test_band_only_system_is_rejected():
+    traj = linear_trajectory(0.02)
+    system = lmm.grid_system(lmm.scheme("am", 2), traj.states, traj.h, startup=False)
+    with pytest.raises(ValueError, match="lacks its 2 start-up rows"):
+        discovery.solve_grid_values(system)
+
 
 def test_assemble_validation():
     traj = linear_trajectory(0.25)  # n1 = 4

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kanlmm import lmm
+from kanlmm.odeint import Trajectory
 from kanlmm.systems import linear_system
 
 # classical tables, newest sample first (offset m = 0..M)
@@ -271,8 +272,9 @@ class TestResidual:
         # constant field, affine trajectory: every consistent scheme is exact
         sch = lmm.scheme("am", 1)
         ts = 0.1 * np.arange(9)
-        states = np.column_stack([2.0 + 3.0 * ts, 1.0 - 0.5 * ts])
-        r = lmm.residual(sch, ts, states, lambda s: np.array([3.0, -0.5]))
+        traj = Trajectory(t0=0.0, t1=0.8, h=0.1,
+                          states=np.column_stack([2.0 + 3.0 * ts, 1.0 - 0.5 * ts]))
+        r = lmm.residual(sch, traj, lambda s: np.array([3.0, -0.5]))
         npt.assert_allclose(r, 0.0, atol=1e-12)
         assert r.shape == (8, 2)
 
@@ -280,22 +282,17 @@ class TestResidual:
         sysd = linear_system()
         h = 1e-3
         ts = h * np.arange(101)
-        r = lmm.residual(lmm.scheme("am", 1), ts, sysd.solution(ts), sysd.field)
+        traj = Trajectory(t0=0.0, t1=ts[-1], h=h, states=sysd.solution(ts))
+        r = lmm.residual(lmm.scheme("am", 1), traj, sysd.field)
         # trapezoid truncation is h^2 |x'''| / 12 plus rounding
         bound = h ** 2 * np.max(np.abs(64.0 * np.exp(4 * ts))) / 12 + 1e-9
         assert 0 < np.max(np.abs(r)) < bound
 
-    def test_requires_equidistant_times(self):
-        sch = lmm.scheme("ab", 1)
-        states = np.zeros((4, 1))
-        with pytest.raises(ValueError):
-            lmm.residual(sch, np.array([0.0, 0.1, 0.3, 0.4]), states, lambda s: s)
-
     def test_requires_enough_points(self):
         sch = lmm.scheme("ab", 3)
-        ts = np.array([0.0, 0.1, 0.2])
-        with pytest.raises(ValueError):
-            lmm.residual(sch, ts, np.zeros((3, 1)), lambda s: s)
+        traj = Trajectory(t0=0.0, t1=0.2, h=0.1, states=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="trajectory too short"):
+            lmm.residual(sch, traj, lambda s: s)
 
 
 @pytest.mark.parametrize("family", lmm.FAMILIES)

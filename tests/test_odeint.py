@@ -117,6 +117,13 @@ def test_trajectory_validation():
         odeint.Trajectory(t0=0.0, t1=0.0, h=0.5, states=np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("t1", [np.nan, np.inf])
+def test_trajectory_rejects_non_finite_end(t1):
+    # no grid check can fail on a NaN end, and an infinite one has an infinite tolerance
+    with pytest.raises(ValueError, match="must be finite"):
+        odeint.Trajectory(t0=0.0, t1=t1, h=0.1, states=np.zeros((11, 2)))
+
+
 def test_trajectory_properties():
     traj = odeint.Trajectory(t0=0.5, t1=1.5, h=0.25, states=np.arange(10.0).reshape(5, 2))
     assert traj.n_steps == 4
