@@ -24,5 +24,12 @@ kanlmm solve-grid --data fine.csv --scheme am --steps 1 --out fine-am1.csv
 if kanlmm solve-grid --data fine.csv --scheme am --steps 2 --out fine-am2.csv; then exit 1; else test $? -eq 4; fi
 test ! -e fine-am2.csv
 kanlmm train --data opinion.csv --system opinion --dim 4 --grid 4 --hidden 3 --iters 5 --out opinion-model.json
+# bad input: an infinite span and a NaN alpha exit 2, a NaN field at x0 exits 4 (a hang gives 124)
+if kanlmm gen --system linear --t1 inf --out inf-span.csv; then exit 1; else test $? -eq 2; fi
+test ! -e inf-span.csv
+if timeout 60 kanlmm gen --system linear --x0=1e308,-1e308 --out nan-field.csv; then exit 1; else test $? -eq 4; fi
+test ! -e nan-field.csv
+if kanlmm gen --system opinion --dim 4 --alpha nan --out nan-alpha.csv; then exit 1; else test $? -eq 2; fi
+test ! -e nan-alpha.csv
 kanlmm experiment gronwall --out-dir gronwall
 python -c "from kanlmm import odeint; print(odeint.load_trajectory('traj.csv').n_steps, odeint.load_trajectory('pred.csv').n_steps)"

@@ -103,13 +103,11 @@ def cmd_gen(args) -> int:
 
 def cmd_solve_grid(args) -> int:
     traj = odeint.load_trajectory(args.data)
-    system = lmm.grid_system(lmm.scheme(args.scheme, args.steps), traj.states, traj.h)
+    system = lmm.grid_system(lmm.scheme(args.scheme, args.steps), traj)
     window = system.window
     kappa = discovery.condition_number(system)
     fhat = discovery.solve_grid_values(system)
-    sl = slice(window.r, window.q + 1)
-    times = traj.times[sl]
-    states = traj.states[sl]
+    times, states = traj.times[window.columns], traj.states[window.columns]
     columns = {"x": states, "fhat": fhat}
     true_field = _true_field(args, traj)
     if true_field is not None:

@@ -47,7 +47,7 @@ def assemble(sch: LmmScheme, traj: Trajectory, component: int) -> GridSystem:
     """
     if not 0 <= component < traj.dim:
         raise ValueError(f"component {component} out of range for dim {traj.dim}")
-    system = lmm.grid_system(sch, traj.states, traj.h)
+    system = lmm.grid_system(sch, traj)
     return replace(system, rhs=system.rhs[:, [component]])
 
 

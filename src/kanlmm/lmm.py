@@ -129,13 +129,13 @@ def residual(sch: LmmScheme, traj: Trajectory, field) -> Array:
     """Multistep residual of a trajectory against a candidate field.
 
     r_n = (1/h) sum_m alpha_m x_{n-m} - sum_m beta_m field(x_{n-m}) for
-    n = steps..N1, i.e. b - B_h f over the index window, returned as an
+    n = steps..N1, i.e. b - B_h f of ``grid_system``'s band rows, as an
     array of shape (N1 - steps + 1, d).  The field is evaluated through
     ``systems.field_rows``, so it must accept an (m, d) batch.
     """
-    system = grid_system(sch, traj.states, traj.h, startup=False)
+    system = grid_system(sch, traj, startup=False)
     w = system.window
-    fvals = field_rows(field, traj.states[w.r : w.q + 1])
+    fvals = field_rows(field, traj.states[w.columns])
     return system.rhs - apply_system(sch, fvals)[w.aux_count:]
 
 
@@ -156,7 +156,7 @@ def empirical_order(sch: LmmScheme, field, solution, h_list) -> float:
     errs = []
     for h in hs:
         ts = h * np.arange(int(round(1.0 / h)) + 1)
-        traj = Trajectory(t0=0.0, t1=float(ts[-1]), h=float(h), states=solution(ts))
+        traj = Trajectory(t0=0.0, h=float(h), states=solution(ts))
         errs.append(np.max(np.abs(residual(sch, traj, field))))
     errs = np.asarray(errs)
     if np.all(errs < 1e-14):
@@ -187,17 +187,18 @@ class IndexWindow:
         """Number of unknown grid values, q - r + 1."""
         return self.q - self.r + 1
 
+    @property
+    def columns(self) -> slice:
+        """The window's rows of an array indexed by grid point, r..q."""
+        return slice(self.r, self.q + 1)
+
 
 def index_window(sch: LmmScheme, n1: int) -> IndexWindow:
     """Window of grid indices whose f-values enter the multistep equations."""
     if n1 < sch.steps:
         raise ValueError(f"trajectory too short: need n1 >= steps = {sch.steps}, got {n1}")
     m_min, m_max = sch.beta_support
-    r = sch.steps - m_max
-    q = n1 - m_min
-    tau = q - r + 1
-    aux = tau - (n1 - sch.steps + 1)
-    return IndexWindow(r=r, q=q, aux_count=aux)
+    return IndexWindow(r=sch.steps - m_max, q=n1 - m_min, aux_count=m_max - m_min)
 
 
 def system_bands(sch: LmmScheme, tau: int) -> Array:
@@ -270,21 +271,21 @@ class GridSystem:
     rhs: Array
 
 
-def grid_system(sch: LmmScheme, states: Array, h: float, startup: bool = True) -> GridSystem:
-    """The grid-value system of a trajectory sampled at spacing ``h``.
+def grid_system(sch: LmmScheme, traj: Trajectory, startup: bool = True) -> GridSystem:
+    """The grid-value system of a trajectory, one column of [c; b] per component.
 
-    ``states`` is (n1 + 1, d).  The band rows need n1 >= steps; the
-    start-up rows c, one-sided differences of the scheme's order, need
-    n1 >= steps + order.
+    ``traj`` guarantees finite states and a positive, finite step h.  The
+    band rows need n1 >= steps; the start-up rows c, one-sided
+    differences of the scheme's order, need n1 >= steps + order.
     """
-    n1, d = states.shape[0] - 1, states.shape[1]
+    states, h, n1 = traj.states, traj.h, traj.n_steps
     m = sch.steps
     if startup and n1 < (needed := m + sch.order):
         raise ValueError(f"trajectory too short: need n1 >= steps + order = {needed}, got {n1}")
     w = index_window(sch, n1)  # checks n1 >= steps
     aux = w.aux_count if startup else 0
     rows = n1 - m + 1
-    rhs = np.zeros((aux + rows, d))
+    rhs = np.zeros((aux + rows, traj.dim))
     # Row blocks keep the sums in cache.  On finite states a zero alpha
     # adds only +-0.0, which changes no sum that starts at +0.0: skipped.
     for lo in range(0, rows, RHS_BLOCK):

@@ -36,11 +36,11 @@ class NonFiniteStateError(IntegrationError):
 class Trajectory:
     """States sampled on the uniform grid t_n = t0 + n*h, n = 0..n_steps.
 
-    ``states`` has shape (n_steps + 1, d).
+    ``states`` has shape (n_steps + 1, d); the end ``t1`` is derived,
+    bitwise ``times[-1]``.
     """
 
     t0: float
-    t1: float
     h: float
     states: Array
 
@@ -50,15 +50,13 @@ class Trajectory:
             raise ValueError("states must be a (n_points >= 2, d) array")
         if not np.all(np.isfinite(states)):
             raise NonFiniteStateError("trajectory contains non-finite states")
-        if not np.all(np.isfinite([self.t0, self.t1, self.h])) or self.h <= 0:
-            raise ValueError("t0, t1 and h must be finite and h positive")
-        n1 = states.shape[0] - 1
-        span = self.t1 - self.t0
-        if abs(n1 * self.h - span) > 1e-12 * max(abs(span), 1.0):
-            raise ValueError(
-                f"grid mismatch: {n1} steps of h={self.h} do not cover [{self.t0}, {self.t1}]"
-            )
         object.__setattr__(self, "states", states)
+        if not (self.h > 0 and np.isfinite(self.t1)):  # a NaN or inf t0 or h reaches t1
+            raise ValueError(f"need finite grid times and h > 0, got t0={self.t0}, h={self.h}")
+
+    @property
+    def t1(self) -> float:
+        return self.t0 + self.h * self.n_steps
 
     @property
     def n_steps(self) -> int:
@@ -75,11 +73,11 @@ class Trajectory:
 
 def grid_size(t0: float, t1: float, h: float) -> int:
     """Number of steps n1 with t0 + n1*h = t1; errors if h does not divide."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    span = t1 - t0
+    if not (h > 0 and np.isfinite(span / h)):  # a NaN or inf t0, t1 or h, or too many steps
+        raise ValueError(f"need h > 0 and a finite grid, got [{t0}, {t1}] and h={h}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    span = t1 - t0
     n1 = int(round(span / h))
     if n1 < 1 or abs(n1 * h - span) > 1e-9 * max(abs(span), 1.0):
         raise ValueError(f"step h={h} does not evenly divide [{t0}, {t1}]")
@@ -92,11 +90,10 @@ def integrate(field, x0, t0: float, t1: float, h: float) -> Trajectory:
     ``field`` maps a state vector to its derivative; the system is
     autonomous.  Failures are those of ``integrate_at``.
     """
-    n1 = grid_size(t0, t1, h)
-    times = t0 + h * np.arange(n1 + 1)
+    times = t0 + h * np.arange(grid_size(t0, t1, h) + 1)
     # the last grid time can pass t1 by an ulp; the run ends on the grid
     states = integrate_at(field, x0, t0, times[-1], times)
-    return Trajectory(t0=float(t0), t1=float(times[-1]), h=float(h), states=states)
+    return Trajectory(t0=float(t0), h=float(h), states=states)
 
 
 def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
@@ -105,7 +102,8 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     Returns shape (len(times), d), one row per entry of ``times``, which
     must lie in [t0, t1] and may repeat or come in any order.  Each state
     is read from the interpolant of the step that holds its time.  Raises
-    IntegrationError / NonFiniteStateError when the integrator gives up.
+    NonFiniteStateError if the field at x0 or a state is not finite, and
+    IntegrationError if the integrator gives up; an overflow prints nothing.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
@@ -115,11 +113,12 @@ def integrate_at(field, x0, t0: float, t1: float, times) -> Array:
     if t_eval.size == 0:
         raise ValueError("times must not be empty")
 
-    def rhs(_t, y):
-        return field(y)
-
-    sol = solve_ivp(rhs, (t0, t1), x0, method="DOP853", rtol=TOLERANCE, atol=TOLERANCE,
-                    t_eval=t_eval)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a NaN field at x0 makes solve_ivp's first step NaN, and it never stops
+        if not np.all(np.isfinite(field(x0))):
+            raise NonFiniteStateError("field is not finite at the initial state")
+        sol = solve_ivp(lambda _t, y: field(y), (t0, t1), x0, method="DOP853",
+                        rtol=TOLERANCE, atol=TOLERANCE, t_eval=t_eval)
     if not sol.success:
         raise IntegrationError(sol.message or "integration failed")
     states = sol.y.T[rows]
@@ -176,11 +175,10 @@ def load_trajectory(path) -> Trajectory:
     if not np.all(np.isfinite(data)):
         raise ValueError("trajectory CSV contains non-finite values")
     times, states = data[:, 0], data[:, 1:]
-    n1 = len(times) - 1
-    h = (times[-1] - times[0]) / n1
+    h = (times[-1] - times[0]) / (len(times) - 1)
     if h <= 0 or np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(abs(h), 1.0):
         raise ValueError("trajectory time column is not equidistant")
-    return Trajectory(t0=float(times[0]), t1=float(times[-1]), h=float(h), states=states)
+    return Trajectory(t0=float(times[0]), h=float(h), states=states)
 
 
 def _first_bad_line(path, width: int) -> str | None:

@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse import csr_matrix
 
 Array = npt.NDArray[np.float64]
 
@@ -142,8 +140,8 @@ def opinion_system(dim: int = 50, alpha: float = 1.0, seed: int = 0,
     """
     if dim < 2:
         raise ValueError(f"opinion model needs at least 2 agents, got {dim}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(*OPINION_INIT_RANGE, size=dim)
 
@@ -178,11 +176,15 @@ def field_rows(field, states: Array) -> Array:
 
 
 def opinion_component_count(x: Array) -> int:
-    """Number of connected components of the interaction graph at state x."""
+    """Components of the interaction graph at x: 1 plus the gaps > 1 of the sorted opinions.
+
+    It is an interval graph, and rounded subtraction is monotone: no
+    pair across such a gap is within 1, so the count is exact.
+    """
     x = np.asarray(x, dtype=np.float64)
-    phi = np.abs(x[None, :] - x[:, None]) <= 1.0
-    n, _ = connected_components(csr_matrix(phi), directed=False)
-    return int(n)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError("opinions must be a finite vector")
+    return int(np.count_nonzero(np.diff(np.sort(x)) > 1.0)) + min(x.size, 1)
 
 
 _BUILDERS = {

@@ -116,20 +116,20 @@ class ResidualStencil:
     def __init__(self, scheme: LmmScheme, traj: Trajectory, kind: str):
         if kind not in LOSS_KINDS:
             raise ValueError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-        system = lmm.grid_system(scheme, traj.states, traj.h, startup=kind == "jah")
+        system = lmm.grid_system(scheme, traj, startup=kind == "jah")
         self.scheme = scheme
-        self.window = w = system.window
+        self.window = system.window
         self.rhs = system.rhs
-        self.columns = slice(w.r, w.q + 1)
-        self.skip = w.tau - self.rhs.shape[0]  # start-up rows J_h leaves out
+        self.skip = self.window.tau - self.rhs.shape[0]  # start-up rows J_h leaves out
         self.norm = float(self.rhs.shape[0])
 
     def loss_and_grad(self, u: Array) -> tuple[float, Array]:
-        res = lmm.apply_system(self.scheme, u[self.columns])
+        columns = self.window.columns
+        res = lmm.apply_system(self.scheme, u[columns])
         res[: self.skip] = 0.0
         res[self.skip :] -= self.rhs
         grad = np.zeros_like(u)
-        np.multiply(2.0 / self.norm, lmm.apply_system_t(self.scheme, res), out=grad[self.columns])
+        np.multiply(2.0 / self.norm, lmm.apply_system_t(self.scheme, res), out=grad[columns])
         return float(np.sum(res[self.skip :] ** 2)) / self.norm, grad
 
 
@@ -252,8 +252,7 @@ def train(config: TrainConfig, traj: Trajectory,
         config=asdict(config),
     )
     if true_field is not None:
-        w = stencil.window
-        sl = slice(w.r, w.q + 1)
+        sl = stencil.window.columns
         err = best_u[sl] - field_rows(true_field, traj.states[sl])
         report.seminorm_error = l2_seminorm(np.linalg.norm(err, axis=1))
         report.seminorm_error_components = [l2_seminorm(err[:, c]) for c in range(err.shape[1])]

@@ -43,7 +43,7 @@ def linear_trajectory(h: float) -> odeint.Trajectory:
     sysd = systems.linear_system()
     n = round(1.0 / h)
     ts = np.arange(n + 1) * h
-    return odeint.Trajectory(t0=0.0, t1=n * h, h=h, states=sysd.solution(ts))
+    return odeint.Trajectory(t0=0.0, h=h, states=sysd.solution(ts))
 
 
 def test_criterion_01_bspline_basis(acceptance_log):
@@ -138,7 +138,7 @@ def test_criterion_04_grid_discovery_convergence(acceptance_log):
     errs = []
     for h in hs:
         traj = linear_trajectory(h)
-        system = lmm.grid_system(sch, traj.states, traj.h)
+        system = lmm.grid_system(sch, traj)
         w, u = system.window, discovery.solve_grid_values(system)
         ts = np.arange(w.r, w.q + 1) * h
         f_true = np.apply_along_axis(sysd.field, 1, sysd.solution(ts))
@@ -156,7 +156,7 @@ def test_criterion_05_conditioning(acceptance_log):
         kappas = []
         for n1 in (50, 100, 200, 400):
             traj = linear_trajectory(1.0 / n1)
-            system = lmm.grid_system(sch, traj.states, traj.h)
+            system = lmm.grid_system(sch, traj)
             kappas.append(discovery.condition_number(system))
         spread = max(kappas) / min(kappas)
         ok = ok and spread < 2.0 and all(k >= 1.0 - 1e-12 for k in kappas)

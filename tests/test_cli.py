@@ -67,11 +67,55 @@ class TestGen:
                      "--out", str(tmp_path / "t.csv"))
         assert rc == cli.EXIT_USAGE
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the overflow past x0 prints no warning
     def test_integration_failure_exit_code(self, tmp_path):
         rc = run_cli("gen", "--system", "glycolytic", "--x0", "1e300,1,1,1,1,1,1",
                      "--t1", "0.1", "--h", "0.01", "--out", str(tmp_path / "t.csv"))
         assert rc == cli.EXIT_INTEGRATION
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("span", [["--t1", "inf"], ["--t0=-inf"], ["--t1", "1e308"],
+                                      ["--h", "nan"]])
+    def test_non_finite_span_is_usage_error(self, tmp_path, capsys, span):
+        out = tmp_path / "t.csv"
+        assert run_cli("gen", "--system", "linear", *span, "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "need h > 0 and a finite grid" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0", ["1e308,-1e308", "1e308,1e308"])
+    def test_field_not_finite_at_x0_is_integration_error(self, tmp_path, capsys, x0):
+        # 1e308,-1e308 gives a NaN field, on which the integrator would never stop
+        out = tmp_path / "t.csv"
+        assert run_cli("gen", "--system", "linear", f"--x0={x0}", "--out", str(out)) == 4
+        assert capsys.readouterr().err == "error: field is not finite at the initial state\n"
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def opinion_csv(tmp_path_factory):
+    """A 3-agent opinion trajectory shared across the module."""
+    path = tmp_path_factory.mktemp("data") / "opinion.csv"
+    rc = run_cli("gen", "--system", "opinion", "--dim", "3", "--t1", "0.5", "--h", "0.05",
+                 "--out", str(path))
+    assert rc == 0
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["gen", "train", "solve-grid"])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_opinion_alpha_is_usage_error(opinion_csv, tmp_path, capsys, command, alpha):
+    out = tmp_path / "out"
+    args = {"gen": [], "train": ["--data", str(opinion_csv), *TRAIN_QUICK],
+            "solve-grid": ["--data", str(opinion_csv)]}[command]
+    rc = run_cli(command, *args, "--system", "opinion", "--dim", "3", "--alpha", alpha,
+                 "--out", str(out))
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: alpha must be positive and finite, got {alpha}\n"
+    assert not out.exists()
 
 
 class TestSolveGrid:
@@ -310,6 +354,15 @@ class TestPredict:
         rc = run_cli("predict", "--model", str(model_json), "--x0", "1",
                      "--t1", "0.1", "--out", str(tmp_path / "p.csv"))
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("span", [["--t1", "inf"], ["--t0=-inf", "--t1", "1"]])
+    def test_non_finite_span_is_usage_error(self, model_json, tmp_path, capsys, span):
+        out = tmp_path / "p.csv"
+        rc = run_cli("predict", "--model", str(model_json), "--x0", "0,1", *span,
+                     "--out", str(out))
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_model(self, tmp_path):
         rc = run_cli("predict", "--model", str(tmp_path / "nope.json"), "--x0", "0,1",

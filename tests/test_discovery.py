@@ -18,24 +18,20 @@ def linear_trajectory(h: float, t1: float = 1.0) -> Trajectory:
     sysd = systems.linear_system()
     n = round(t1 / h)
     ts = np.arange(n + 1) * h
-    return Trajectory(t0=0.0, t1=n * h, h=h, states=sysd.solution(ts))
+    return Trajectory(t0=0.0, h=h, states=sysd.solution(ts))
 
 
 def poly_trajectory(coeffs, h: float, n1: int) -> Trajectory:
     """Scalar trajectory x(t) = polyval(coeffs, t) on n1 steps."""
     ts = np.arange(n1 + 1) * h
     states = np.polyval(coeffs, ts)[:, None]
-    return Trajectory(t0=0.0, t1=n1 * h, h=h, states=states)
+    return Trajectory(t0=0.0, h=h, states=states)
 
 
 ALL_SMALL_SCHEMES = [(fam, m) for fam in lmm.FAMILIES for m in (1, 2, 3)]
 # small schemes whose beta polynomial has no root outside the unit circle
 STABLE_SMALL_SCHEMES = [(fam, m) for fam, m in ALL_SMALL_SCHEMES
                         if lmm.root_condition(lmm.scheme(fam, m)).max_modulus <= 1.0]
-
-
-def grid_system(sch: lmm.LmmScheme, traj: Trajectory) -> lmm.GridSystem:
-    return lmm.grid_system(sch, traj.states, traj.h)
 
 
 def row_loop_reference(system: lmm.GridSystem) -> np.ndarray:
@@ -57,7 +53,7 @@ def row_loop_reference(system: lmm.GridSystem) -> np.ndarray:
 def test_filter_matches_row_loop_reference(family, steps):
     """The banded solve against forward substitution written out row by row."""
     sch = lmm.scheme(family, steps)
-    system = grid_system(sch, linear_trajectory(1e-4))
+    system = lmm.grid_system(sch, linear_trajectory(1e-4))
     u = discovery.solve_grid_values(system)
     expected = row_loop_reference(system)
     if sch.stencil.shape[0] == 1 or (family, steps) == ("am", 1):
@@ -74,7 +70,7 @@ def test_forward_substitution_matches_dense_solve(family, steps, dense_a_h):
     # amplify rounding exponentially in the number of rows, which would
     # swamp any solver comparison on long trajectories
     traj = linear_trajectory(0.05)
-    system = grid_system(lmm.scheme(family, steps), traj)
+    system = lmm.grid_system(lmm.scheme(family, steps), traj)
     u = discovery.solve_grid_values(system)
     a = dense_a_h(system.scheme, traj.n_steps)  # start-up rows first
     dense = np.linalg.solve(a, system.rhs)
@@ -89,7 +85,7 @@ def test_polynomial_trajectory_recovered_exactly(family, steps):
     sch = lmm.scheme(family, steps)
     coeffs = np.arange(sch.order + 1, dtype=float) + 1.0  # degree == order
     traj = poly_trajectory(coeffs, h=0.05, n1=10)
-    system = grid_system(sch, traj)
+    system = lmm.grid_system(sch, traj)
     u = discovery.solve_grid_values(system)
     w = system.window
     ts = (np.arange(w.r, w.q + 1)) * traj.h
@@ -100,7 +96,7 @@ def test_polynomial_trajectory_recovered_exactly(family, steps):
 def test_dense_matrix_structure(dense_a_h):
     traj = linear_trajectory(0.1)
     sch = lmm.scheme("am", 1)
-    system = grid_system(sch, traj)
+    system = lmm.grid_system(sch, traj)
     w = system.window
     a = lmm.apply_system(sch, np.eye(w.tau))  # A_h column by column
     npt.assert_array_equal(a, dense_a_h(sch, traj.n_steps))
@@ -120,7 +116,7 @@ def test_recovered_values_converge_at_scheme_order():
     errs = []
     for h in hs:
         traj = linear_trajectory(h)
-        system = grid_system(sch, traj)
+        system = lmm.grid_system(sch, traj)
         w, u = system.window, discovery.solve_grid_values(system)
         ts = np.arange(w.r, w.q + 1) * h
         f_true = np.apply_along_axis(sysd.field, 1, sysd.solution(ts))
@@ -136,7 +132,7 @@ def test_first_order_scheme_converges_linearly():
     errs = []
     for h in hs:
         traj = linear_trajectory(h)
-        system = grid_system(sch, traj)
+        system = lmm.grid_system(sch, traj)
         w, u = system.window, discovery.solve_grid_values(system)
         ts = np.arange(w.r, w.q + 1) * h
         f_true = np.apply_along_axis(sysd.field, 1, sysd.solution(ts))
@@ -149,7 +145,7 @@ def test_auxiliary_rows_approximate_field():
     sch = lmm.scheme("am", 2)  # order 3, aux_count > 0
     traj = linear_trajectory(0.005)
     sysd = systems.linear_system()
-    system = grid_system(sch, traj)
+    system = lmm.grid_system(sch, traj)
     w = system.window
     assert w.aux_count > 0
     for j in range(w.aux_count):
@@ -164,7 +160,7 @@ class TestConditionNumber:
         # BDF-1 stencil is the single coefficient 1, aux block empty
         sch = lmm.scheme("bdf", 1)
         for n1 in (50, 200):
-            system = grid_system(sch, linear_trajectory(1.0 / n1))
+            system = lmm.grid_system(sch, linear_trajectory(1.0 / n1))
             assert system.window.aux_count == 0
             npt.assert_array_equal(system.scheme.stencil, [1.0])
             assert discovery.condition_number(system) == pytest.approx(1.0, abs=1e-12)
@@ -173,7 +169,7 @@ class TestConditionNumber:
     def test_dense_kappa_reads_the_entries_of_a_h(self, family, steps, dense_a_h):
         # the SVD input, filled diagonal by diagonal, is A_h entry for entry
         traj = linear_trajectory(1.0 / 120)
-        system = grid_system(lmm.scheme(family, steps), traj)
+        system = lmm.grid_system(lmm.scheme(family, steps), traj)
         svals = np.linalg.svd(dense_a_h(system.scheme, traj.n_steps), compute_uv=False)
         assert discovery.condition_number(system) == float(svals[0] / svals[-1])
 
@@ -183,7 +179,7 @@ class TestConditionNumber:
         assert len(schemes) == 13
         for sch in schemes:
             for n1 in (sch.steps + sch.order, 50, 300, 1000):
-                system = grid_system(sch, linear_trajectory(1.0 / n1))
+                system = lmm.grid_system(sch, linear_trajectory(1.0 / n1))
                 monkeypatch.setattr(discovery, "DENSE_LIMIT", 2000)
                 dense = discovery.condition_number(system)
                 monkeypatch.setattr(discovery, "DENSE_LIMIT", 0)
@@ -198,14 +194,15 @@ class TestConditionNumber:
                 a = dense_a_h(sch, n1)
                 inv = np.linalg.inv(a)
                 norms = [np.linalg.norm(m, p) for m in (a, inv) for p in (1, np.inf)]
-                bound = discovery.condition_number(grid_system(sch, linear_trajectory(1.0 / n1)))
+                system = lmm.grid_system(sch, linear_trajectory(1.0 / n1))
+                bound = discovery.condition_number(system)
                 assert bound == pytest.approx(np.sqrt(np.prod(norms)), rel=1e-12), (sch, n1)
 
     def test_norm_bound_of_unstable_adams_moulton_raises(self):
         # tau > DENSE_LIMIT: the impulse response overflows, with no warning
         traj = linear_trajectory(4e-4)
         for steps in range(2, 7):
-            system = grid_system(lmm.scheme("am", steps), traj)
+            system = lmm.grid_system(lmm.scheme("am", steps), traj)
             assert system.window.tau > discovery.DENSE_LIMIT
             with pytest.raises(discovery.SingularSystemError, match="numerically singular"):
                 discovery.condition_number(system)
@@ -219,7 +216,7 @@ class TestConditionNumber:
 
         monkeypatch.setattr(discovery, "dtbtrs", counting_dtbtrs)
         monkeypatch.setattr(discovery, "DENSE_LIMIT", 0)
-        system = grid_system(lmm.scheme("ab", 3), linear_trajectory(0.01))
+        system = lmm.grid_system(lmm.scheme("ab", 3), linear_trajectory(0.01))
         assert discovery.condition_number(system) >= 1.0
         assert calls == [(system.window.tau, system.window.aux_count + 1)]
 
@@ -227,7 +224,7 @@ class TestConditionNumber:
         sch = lmm.scheme("ab", 2)
         kappas = []
         for n1 in (50, 100, 200):
-            system = grid_system(sch, linear_trajectory(1.0 / n1))
+            system = lmm.grid_system(sch, linear_trajectory(1.0 / n1))
             kappas.append(discovery.condition_number(system))
         assert all(k >= 1.0 for k in kappas)
         assert max(kappas) / min(kappas) < 2.0
@@ -235,12 +232,12 @@ class TestConditionNumber:
     def test_singular_system_detected(self):
         # AM-4's beta polynomial has a root outside the unit circle, so the
         # inverse of A_h grows geometrically along the window
-        system = grid_system(lmm.scheme("am", 4), linear_trajectory(0.01))
+        system = lmm.grid_system(lmm.scheme("am", 4), linear_trajectory(0.01))
         with pytest.raises(discovery.SingularSystemError):
             discovery.condition_number(system)
 
     def test_singular_message_names_max_root(self):
-        system = grid_system(lmm.scheme("am", 4), linear_trajectory(0.02))  # 51 samples
+        system = lmm.grid_system(lmm.scheme("am", 4), linear_trajectory(0.02))  # 51 samples
         with pytest.raises(discovery.SingularSystemError,
                            match=r"^grid-value system is numerically singular; "
                                  r"am-4 beta polynomial has max \|root\| = 2\.977$"):
@@ -249,7 +246,7 @@ class TestConditionNumber:
 
 def test_non_finite_grid_values_raise():
     # AM-3's grid values overflow over 1001 samples; no inf reaches the caller
-    system = grid_system(lmm.scheme("am", 3), linear_trajectory(1e-3))
+    system = lmm.grid_system(lmm.scheme("am", 3), linear_trajectory(1e-3))
     with pytest.raises(discovery.SingularSystemError,
                        match=r"^recovered grid values are not finite; am-3 .* = 2\.366$"):
         discovery.solve_grid_values(system)
@@ -257,7 +254,7 @@ def test_non_finite_grid_values_raise():
 
 def test_band_only_system_is_rejected():
     traj = linear_trajectory(0.02)
-    system = lmm.grid_system(lmm.scheme("am", 2), traj.states, traj.h, startup=False)
+    system = lmm.grid_system(lmm.scheme("am", 2), traj, startup=False)
     with pytest.raises(ValueError, match="lacks its 2 start-up rows"):
         discovery.solve_grid_values(system)
 
@@ -268,19 +265,20 @@ def test_assemble_validation():
         discovery.assemble(lmm.scheme("am", 1), traj, 2)
     # one length check, in lmm.grid_system, for every caller
     for build in (lambda sch: discovery.assemble(sch, traj, 0),
-                  lambda sch: grid_system(sch, traj)):
+                  lambda sch: lmm.grid_system(sch, traj)):
         with pytest.raises(ValueError, match=r"too short: need n1 >= steps \+ order = 12, got 4"):
             build(lmm.scheme("bdf", 6))
     with pytest.raises(ValueError, match="too short: need n1 >= steps = 6, got 4"):
-        lmm.grid_system(lmm.scheme("bdf", 6), traj.states, traj.h, startup=False)
+        lmm.grid_system(lmm.scheme("bdf", 6), traj, startup=False)
     # the band rows alone fit where the start-up rows do not
-    band = lmm.grid_system(lmm.scheme("am", 2), traj.states, traj.h, startup=False)
+    band = lmm.grid_system(lmm.scheme("am", 2), traj, startup=False)
     assert band.window.tau == 5 and band.window.aux_count == 2 and band.rhs.shape == (3, 2)
 
 
 def test_system_without_components_solves_to_empty_values():
     traj = linear_trajectory(0.02)
-    system = lmm.grid_system(lmm.scheme("ab", 3), traj.states[:, :0], traj.h)
+    no_components = Trajectory(t0=traj.t0, h=traj.h, states=traj.states[:, :0])
+    system = lmm.grid_system(lmm.scheme("ab", 3), no_components)
     assert discovery.solve_grid_values(system).shape == (system.window.tau, 0)
 
 
@@ -288,7 +286,7 @@ def test_assemble_columns_match_all_component_solve():
     traj = linear_trajectory(0.02)
     for family, steps in STABLE_SMALL_SCHEMES:
         sch = lmm.scheme(family, steps)
-        system = grid_system(sch, traj)
+        system = lmm.grid_system(sch, traj)
         u = discovery.solve_grid_values(system)
         assert u.shape == (system.window.tau, traj.dim)
         for c in range(traj.dim):

@@ -259,7 +259,7 @@ def test_grid_system_band_rows_across_blocks(family, steps):
     sch = lmm.scheme(family, steps)
     h, n1 = 0.01, 2 * lmm.RHS_BLOCK + 7
     states = np.random.default_rng(4).standard_normal((n1 + 1, 2))
-    system = lmm.grid_system(sch, states, h, startup=False)
+    system = lmm.grid_system(sch, Trajectory(t0=0.0, h=h, states=states), startup=False)
     expected = np.zeros_like(system.rhs)
     for row, n in enumerate(range(steps, n1 + 1)):
         for mm in range(steps + 1):
@@ -272,7 +272,7 @@ class TestResidual:
         # constant field, affine trajectory: every consistent scheme is exact
         sch = lmm.scheme("am", 1)
         ts = 0.1 * np.arange(9)
-        traj = Trajectory(t0=0.0, t1=0.8, h=0.1,
+        traj = Trajectory(t0=0.0, h=0.1,
                           states=np.column_stack([2.0 + 3.0 * ts, 1.0 - 0.5 * ts]))
         r = lmm.residual(sch, traj, lambda s: np.array([3.0, -0.5]))
         npt.assert_allclose(r, 0.0, atol=1e-12)
@@ -282,7 +282,7 @@ class TestResidual:
         sysd = linear_system()
         h = 1e-3
         ts = h * np.arange(101)
-        traj = Trajectory(t0=0.0, t1=ts[-1], h=h, states=sysd.solution(ts))
+        traj = Trajectory(t0=0.0, h=h, states=sysd.solution(ts))
         r = lmm.residual(lmm.scheme("am", 1), traj, sysd.field)
         # trapezoid truncation is h^2 |x'''| / 12 plus rounding
         bound = h ** 2 * np.max(np.abs(64.0 * np.exp(4 * ts))) / 12 + 1e-9
@@ -290,7 +290,7 @@ class TestResidual:
 
     def test_requires_enough_points(self):
         sch = lmm.scheme("ab", 3)
-        traj = Trajectory(t0=0.0, t1=0.2, h=0.1, states=np.zeros((3, 1)))
+        traj = Trajectory(t0=0.0, h=0.1, states=np.zeros((3, 1)))
         with pytest.raises(ValueError, match="trajectory too short"):
             lmm.residual(sch, traj, lambda s: s)
 

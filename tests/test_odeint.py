@@ -100,6 +100,35 @@ def test_grid_size():
         odeint.grid_size(1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("t0,t1,h", [
+    (0.0, np.inf, 1e-3),
+    (-np.inf, 1.0, 1e-3),
+    (0.0, 1e308, 1e-3),  # a finite span of infinitely many steps
+    (-1e308, 1e308, 1.0),  # the span itself overflows
+    (0.0, 1.0, np.nan),
+    (np.nan, 1.0, 0.1),
+])
+def test_grid_size_rejects_non_finite_spans(t0, t1, h):
+    with pytest.raises(ValueError, match="need h > 0 and a finite grid"):
+        odeint.grid_size(t0, t1, h)
+
+
+def test_field_not_finite_at_x0_raises():
+    # inf - inf: a NaN first step, on which the integrator would never stop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(odeint.NonFiniteStateError, match="not finite at the initial state"):
+            odeint.integrate(linear_system().field, [1e308, -1e308], 0.0, 1.0, 0.1)
+
+
+def test_overflow_past_x0_raises_without_warnings():
+    # exp(700) is finite, the states past it are not; only the error reports that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(odeint.IntegrationError):
+            odeint.integrate(np.exp, [700.0], 0.0, 1.0, 0.1)
+
+
 def test_finite_time_blowup_raises():
     # dx/dt = x^2 from x(0) = 2 escapes at t = 0.5
     with pytest.raises(odeint.IntegrationError):
@@ -108,32 +137,31 @@ def test_finite_time_blowup_raises():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        odeint.Trajectory(t0=0.0, t1=1.0, h=0.5, states=np.zeros((4, 1)))  # grid mismatch
-    with pytest.raises(ValueError):
-        odeint.Trajectory(t0=0.0, t1=1.0, h=-0.5, states=np.zeros((3, 1)))
+        odeint.Trajectory(t0=0.0, h=-0.5, states=np.zeros((3, 1)))
     with pytest.raises(odeint.NonFiniteStateError):
-        odeint.Trajectory(t0=0.0, t1=1.0, h=0.5, states=np.array([[0.0], [np.nan], [1.0]]))
+        odeint.Trajectory(t0=0.0, h=0.5, states=np.array([[0.0], [np.nan], [1.0]]))
     with pytest.raises(ValueError):
-        odeint.Trajectory(t0=0.0, t1=0.0, h=0.5, states=np.zeros((1, 2)))
+        odeint.Trajectory(t0=0.0, h=0.5, states=np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("t1", [np.nan, np.inf])
-def test_trajectory_rejects_non_finite_end(t1):
-    # no grid check can fail on a NaN end, and an infinite one has an infinite tolerance
-    with pytest.raises(ValueError, match="must be finite"):
-        odeint.Trajectory(t0=0.0, t1=t1, h=0.1, states=np.zeros((11, 2)))
+@pytest.mark.parametrize("t0,h", [(0.0, 0.0), (0.0, np.nan), (np.inf, 0.1), (np.nan, 0.1),
+                                  (0.0, np.inf), (1.0, 1e308)])  # the last: t1 overflows
+def test_trajectory_rejects_a_non_finite_grid(t0, h):
+    with pytest.raises(ValueError, match="finite grid times and h > 0"):
+        odeint.Trajectory(t0=t0, h=h, states=np.zeros((11, 2)))
 
 
 def test_trajectory_properties():
-    traj = odeint.Trajectory(t0=0.5, t1=1.5, h=0.25, states=np.arange(10.0).reshape(5, 2))
+    traj = odeint.Trajectory(t0=0.5, h=0.25, states=np.arange(10.0).reshape(5, 2))
     assert traj.n_steps == 4
     assert traj.dim == 2
+    assert traj.t1 == traj.times[-1] == 1.5
 
 
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     states = rng.standard_normal((17, 3)) * np.array([1e-8, 1.0, 1e6])
-    traj = odeint.Trajectory(t0=0.0, t1=1.6, h=0.1, states=states)
+    traj = odeint.Trajectory(t0=0.0, h=0.1, states=states)
     path = tmp_path / "traj.csv"
     odeint.save_trajectory(traj, path)
     back = odeint.load_trajectory(path)

@@ -142,11 +142,36 @@ class TestOpinionSystem:
         assert systems.opinion_component_count(np.full(4, 2.0)) == 1
         assert systems.opinion_component_count(np.array([0.0, 2.0, 4.0, 6.0])) == 4
 
+    def test_component_count_matches_connected_components(self):
+        # the sorted-gap count against the graph search it replaced
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(5)
+        for d in range(1, 61):
+            centres = rng.uniform(0.0, 10.0, size=rng.integers(1, 5))
+            for x in (rng.uniform(0.0, 10.0, size=d),
+                      rng.choice(centres, size=d) + rng.uniform(-0.6, 0.6, size=d),
+                      0.25 + rng.integers(0, 8, size=d).astype(float)):  # gaps of exactly 1.0
+                phi = np.abs(x[None, :] - x[:, None]) <= 1.0
+                expected, _ = connected_components(csr_matrix(phi), directed=False)
+                assert systems.opinion_component_count(x) == expected
+
+    @pytest.mark.parametrize("x", [[0.0, 0.5, 3.0, np.nan], [0.0, np.inf], [[0.0, 2.0]]])
+    def test_component_count_rejects_non_finite_states(self, x):
+        with pytest.raises(ValueError, match="finite vector"):
+            systems.opinion_component_count(np.array(x))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             systems.opinion_system(dim=1)
         with pytest.raises(ValueError):
             systems.opinion_system(alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            systems.opinion_system(alpha=alpha)
 
 
 def test_by_name_dispatch():

@@ -20,7 +20,7 @@ def linear_trajectory(h: float, t1: float = 1.0) -> Trajectory:
     sysd = systems.linear_system()
     n = round(t1 / h)
     ts = np.arange(n + 1) * h
-    return Trajectory(t0=0.0, t1=n * h, h=h, states=sysd.solution(ts))
+    return Trajectory(t0=0.0, h=h, states=sysd.solution(ts))
 
 
 def naive_loss(scheme: lmm.LmmScheme, traj: Trajectory, u: np.ndarray, kind: str) -> float:
@@ -78,7 +78,7 @@ def test_exact_grid_values_zero_the_augmented_loss():
     # they must be (up to rounding) the exact minimizer of J_ah
     traj = linear_trajectory(0.01)
     sch = lmm.scheme("am", 1)
-    u = discovery.solve_grid_values(lmm.grid_system(sch, traj.states, traj.h))  # window 0..n1
+    u = discovery.solve_grid_values(lmm.grid_system(sch, traj))  # window 0..n1
     stencil = training.ResidualStencil(sch, traj, "jah")
     assert stencil.loss_and_grad(u)[0] < 1e-18
 
@@ -90,7 +90,7 @@ def test_stencil_reads_the_one_grid_system(family, steps, dense_a_h):
     u = np.random.default_rng(steps).standard_normal(traj.states.shape)
     for kind, startup in (("jah", True), ("jh", False)):
         stencil = training.ResidualStencil(sch, traj, kind)
-        system = lmm.grid_system(sch, traj.states, traj.h, startup=startup)
+        system = lmm.grid_system(sch, traj, startup=startup)
         assert stencil.window == system.window
         npt.assert_array_equal(stencil.rhs, system.rhs)
         # the residual of the dense A_h (its band rows alone for J_h)
@@ -111,7 +111,7 @@ def _csr_loss_and_grad(sch, traj, kind, u):
     w = lmm.index_window(sch, traj.n_steps)
     bands = lmm.system_bands(sch, w.tau)
     a = sparse.dia_array((bands, -np.arange(len(bands))), shape=(w.tau, w.tau)).tocsr()
-    system = lmm.grid_system(sch, traj.states, traj.h, startup=kind == "jah")
+    system = lmm.grid_system(sch, traj, startup=kind == "jah")
     if kind == "jh":
         a = a[w.aux_count:]
     res = a @ u[w.r : w.q + 1] - system.rhs
