@@ -31,5 +31,13 @@ if timeout 60 kanlmm gen --system linear --x0=1e308,-1e308 --out nan-field.csv; 
 test ! -e nan-field.csv
 if kanlmm gen --system opinion --dim 4 --alpha nan --out nan-alpha.csv; then exit 1; else test $? -eq 2; fi
 test ! -e nan-alpha.csv
+# bad input: "--" as an option value, on the command line or in a config, and a grid too large for memory exit 2
+if kanlmm train --data traj.csv --grid 4 --hidden 2 --iters 5 --steps=-- --out dashdash.json; then exit 1; else test $? -eq 2; fi
+test ! -e dashdash.json
+echo '{"steps": "--"}' > dashdash-config.json
+if kanlmm train --data traj.csv --grid 4 --hidden 2 --iters 5 --config dashdash-config.json --out dashdash-config-model.json; then exit 1; else test $? -eq 2; fi
+test ! -e dashdash-config-model.json
+if kanlmm gen --system linear --t1 1e12 --out huge-span.csv; then exit 1; else test $? -eq 2; fi
+test ! -e huge-span.csv
 kanlmm experiment gronwall --out-dir gronwall
 python -c "from kanlmm import odeint; print(odeint.load_trajectory('traj.csv').n_steps, odeint.load_trajectory('pred.csv').n_steps)"

@@ -87,6 +87,13 @@ def _config_flags(path, command: argparse.ArgumentParser) -> list[str]:
     return flags
 
 
+def _reject_dropped_values(args) -> None:
+    """Reject an option given ``--`` as its value: Python 3.11's argparse stores [] then."""
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise ValueError(f"--{dest.replace('_', '-')} needs a value, got '--'")
+
+
 def cmd_gen(args) -> int:
     sys_def = _system_from_args(args, args.seed)
     x0 = _parse_vector(args.x0) if args.x0 else sys_def.x0
@@ -284,6 +291,7 @@ def main(argv=None) -> int:
         if args.config:
             # config flags come last, so they win over the command line
             args = parser.parse_args(argv + _config_flags(args.config, tables[args.command]))
+        _reject_dropped_values(args)
         return args.func(args)
     except (kan.ModelFormatError,) as exc:
         print(f"error: {exc}", file=sys.stderr)

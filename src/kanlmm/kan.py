@@ -7,8 +7,8 @@ The network computes, for input x in R^d_in,
 where every phi is a spline sum_q c_q B_q(.) over one basis, which both
 layers share.  Input coordinates are affinely rescaled from their data
 range into the basis domain [0, 1]; hidden sums are rescaled into [0, 1]
-over a range calibrated once at initialization, so the basis stays
-static during training.  Inputs falling outside either range are
+over the range they span on the input box at initialization, so the
+basis stays static during training.  Inputs falling outside either range are
 clamped, extending the splines as constants.
 
 All learnable state lives in two dense coefficient arrays:
@@ -46,8 +46,6 @@ from .bspline import BSplineBasis, eval_local, greville_abscissae, make_basis
 Array = npt.NDArray[np.float64]
 
 MODEL_VERSION = 1
-CORNER_ENUM_LIMIT = 10  # enumerate all 2^d input-box corners only up to here
-CALIBRATION_SAMPLES = 1024
 # backward gathers outer coefficients for blocks of samples of at most this
 # many entries (256 KB), so that one block stays in a core's cache.
 GATHER_BLOCK = 1 << 15
@@ -150,7 +148,7 @@ def flat_view(coeffs: Array) -> Array:
 def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
                  degree: int = 3, intervals: int = 64,
                  input_range=None, seed: int = 0) -> KanNetwork:
-    """Random network of affine edges with a calibrated hidden range.
+    """Random network of affine edges, with the hidden range they span.
 
     Defaults: d_out = d_in and hidden = 2*d_in + 1.  ``input_range`` is a
     (d_in, 2) array of per-coordinate data ranges; omitted, the unit box.
@@ -164,17 +162,14 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     sum from sweeping across many outer-grid intervals between successive
     samples, which would alias the outer splines along the trajectory.
 
-    The hidden range is the span of the hidden sums over the input-box
-    corners (all 2^d_in when d_in <= 10, else 1024 random sign corners)
-    plus 1024 uniform samples, padded by 10% on each side.  The basis is a
-    partition of unity that reproduces x from its Greville abscissae, so
-    an inner edge with end values (e0, e1) is exactly the line
-    (1 - x) e0 + x e1, and the sums come in closed form from one dense
-    product, z = sum_i (1 - xhat_i) e0[:, i] + xhat_i e1[:, i], with no
-    basis evaluation.  At a corner each edge contributes exactly its end
-    value, as the spline itself does there.  Draw order is fixed (inner
-    end values, calibration points, outer end values) so a seed pins down
-    the whole network.
+    The hidden range is the exact range of the hidden sums over the input
+    box, padded by 10% on each side.  The basis is a partition of unity
+    that reproduces x from its Greville abscissae, so an inner edge with
+    end values (e0, e1) is exactly the line (1 - x) e0 + x e1 in its
+    rescaled input x in [0, 1].  Each sum z_j is then minimised (maximised)
+    by taking every edge at its smaller (larger) end value, and the range
+    is [min_j sum_i min(e0, e1), max_j sum_i max(e0, e1)], with no basis
+    evaluation.  The seed draws the inner end values, then the outer ones.
     """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
@@ -187,9 +182,6 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     input_range = np.asarray(input_range, dtype=np.float64)
     if input_range.shape != (d_in, 2):
         raise ValueError(f"input_range must be (d_in, 2), got {input_range.shape}")
-    lo, hi = input_range[:, 0].copy(), input_range[:, 1].copy()
-    if np.any(hi <= lo):
-        raise ValueError("each input range must have positive width")
 
     basis = make_basis(degree, intervals)
     xi = greville_abscissae(basis)
@@ -201,19 +193,8 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
         return ends[..., :1] * (1.0 - xi) + ends[..., 1:] * xi, ends
 
     inner, ends = affine_edges(np.sqrt(6.0 / (d_in + d_out)), (hidden, d_in))
-
-    if d_in <= CORNER_ENUM_LIMIT:
-        bits = ((np.arange(2 ** d_in)[:, None] >> np.arange(d_in)) & 1).astype(np.float64)
-    else:
-        bits = rng.integers(0, 2, size=(CALIBRATION_SAMPLES, d_in)).astype(np.float64)
-    corners = lo + bits * (hi - lo)
-    interior = rng.uniform(lo, hi, size=(CALIBRATION_SAMPLES, d_in))
-    probe = np.vstack([corners, interior])
-    xhat = np.clip((probe - lo) / (hi - lo), 0.0, 1.0)
-    # weights (n, d_in * 2) interleave 1 - xhat and xhat as ends holds e0, e1
-    weights = np.stack([1.0 - xhat, xhat], axis=-1).reshape(len(xhat), -1)
-    z = weights @ ends.reshape(hidden, -1).T
-    z_lo, z_hi = float(z.min()), float(z.max())
+    z_lo = float(ends.min(axis=-1).sum(axis=1).min())
+    z_hi = float(ends.max(axis=-1).sum(axis=1).max())
     span = z_hi - z_lo
     if span < 1e-12:
         z_lo, z_hi, span = z_lo - 0.5, z_hi + 0.5, 1.0
@@ -223,7 +204,7 @@ def init_network(d_in: int, d_out: int | None = None, hidden: int | None = None,
     outer, _ = affine_edges(np.sqrt(6.0 / hidden), (d_out, hidden))
 
     return KanNetwork(
-        basis=basis, input_lo=lo, input_hi=hi,
+        basis=basis, input_lo=input_range[:, 0], input_hi=input_range[:, 1],
         hidden_lo=hidden_lo, hidden_hi=hidden_hi,
         inner_coeffs=inner, outer_coeffs=outer,
     )

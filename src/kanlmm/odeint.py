@@ -88,9 +88,14 @@ def integrate(field, x0, t0: float, t1: float, h: float) -> Trajectory:
     """Integrate dx/dt = field(x) and sample on the uniform grid of step h.
 
     ``field`` maps a state vector to its derivative; the system is
-    autonomous.  Failures are those of ``integrate_at``.
+    autonomous.  A grid too large for memory is a ValueError; other
+    failures are those of ``integrate_at``.
     """
-    times = t0 + h * np.arange(grid_size(t0, t1, h) + 1)
+    n1 = grid_size(t0, t1, h)
+    try:
+        times = t0 + h * np.arange(n1 + 1)
+    except MemoryError:
+        raise ValueError(f"a grid of {n1} steps does not fit in memory") from None
     # the last grid time can pass t1 by an ulp; the run ends on the grid
     states = integrate_at(field, x0, t0, times[-1], times)
     return Trajectory(t0=float(t0), h=float(h), states=states)

@@ -84,6 +84,14 @@ class TestGen:
         assert err.count("\n") == 1 and "need h > 0 and a finite grid" in err
         assert not out.exists()
 
+    def test_span_too_large_for_memory_is_usage_error(self, tmp_path, capsys):
+        # 10^15 grid steps at the default h: numpy cannot allocate the grid times
+        out = tmp_path / "t.csv"
+        assert run_cli("gen", "--system", "linear", "--t1", "1e12", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a grid of 1000000000000000 steps does not fit in memory\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0", ["1e308,-1e308", "1e308,1e308"])
     def test_field_not_finite_at_x0_is_integration_error(self, tmp_path, capsys, x0):
@@ -288,6 +296,7 @@ class TestTrain:
     @example(doc={"grid": 2.5})
     @example(doc={"lr": float("nan")})
     @example(doc={"lr": float("inf")})
+    @example(doc={"steps": "--"})
     def test_config_values_end_in_documented_exit_code(self, traj_csv, tmp_path, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -302,6 +311,23 @@ class TestTrain:
             assert rc == cli.EXIT_USAGE
         if isinstance(doc.get("lr"), float) and not math.isfinite(doc["lr"]):
             assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("option", ["steps", "hidden", "k", "lr", "out", "config"])
+    def test_dashdash_value_is_usage_error(self, traj_csv, tmp_path, capsys, option):
+        # Python 3.11's argparse drops a "--" value and stores [] for the option
+        out = tmp_path / "m.json"
+        flag = f"--{option}=--"
+        if option == "config":  # {"steps": "--"} becomes the flag --steps=--
+            (tmp_path / "cfg.json").write_text(json.dumps({"steps": "--"}))
+            option, flag = "steps", f"--config={tmp_path / 'cfg.json'}"
+        try:
+            rc = run_cli("train", "--data", str(traj_csv), *TRAIN_QUICK, "--out", str(out), flag)
+        except SystemExit as exc:  # an argparse that keeps the "--" rejects it itself
+            rc = exc.code
+        else:
+            assert capsys.readouterr().err == f"error: --{option} needs a value, got '--'\n"
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("system, data", [
         (["--system", "opinion", "--dim", "7"], "linear"),

@@ -149,6 +149,27 @@ def test_out_of_range_inputs_clamp_to_boundary_values():
     npt.assert_allclose(near, at_corner, atol=1e-6)
 
 
+def check_hidden_range_is_padded_corner_span(d_in, degree, intervals):
+    """init_network's hidden range against the hidden sums at all 2^d_in box corners."""
+    bits = (np.arange(2 ** d_in)[:, None] >> np.arange(d_in)) & 1
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-2.0, 1.0, d_in)
+        hi = lo + rng.uniform(0.5, 3.0, d_in)
+        net = kan.init_network(d_in, hidden=5, degree=degree, intervals=intervals,
+                               input_range=np.column_stack([lo, hi]), seed=seed)
+        corners = np.where(bits == 1, hi, lo)
+        z = kan.BatchEvaluator(net, corners).hidden_sums(net.inner_coeffs)
+        span = z.max() - z.min()
+        # the hidden sums are affine, so they reach their extremes at the corners
+        t = rng.uniform(size=(50, d_in))
+        inside = kan.BatchEvaluator(net, lo + t * (hi - lo)).hidden_sums(net.inner_coeffs)
+        npt.assert_allclose(inside, z[0] + t @ (z[2 ** np.arange(d_in)] - z[0]),
+                            rtol=0, atol=1e-12 * span)
+        assert net.hidden_lo == pytest.approx(z.min() - 0.1 * span, abs=1e-12 * span)
+        assert net.hidden_hi == pytest.approx(z.max() + 0.1 * span, abs=1e-12 * span)
+
+
 class TestInit:
     def test_defaults(self):
         net = kan.init_network(3, seed=0)
@@ -200,23 +221,13 @@ class TestInit:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("intervals", [1, 4, 16])
     def test_hidden_range_is_padded_corner_span(self, d_in, degree, intervals):
-        bits = (np.arange(2 ** d_in)[:, None] >> np.arange(d_in)) & 1
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            lo = rng.uniform(-2.0, 1.0, d_in)
-            hi = lo + rng.uniform(0.5, 3.0, d_in)
-            net = kan.init_network(d_in, hidden=5, degree=degree, intervals=intervals,
-                                   input_range=np.column_stack([lo, hi]), seed=seed)
-            corners = np.where(bits == 1, hi, lo)
-            z = kan.BatchEvaluator(net, corners).hidden_sums(net.inner_coeffs)
-            span = z.max() - z.min()
-            # the hidden sums are affine, so they reach their extremes at the corners
-            t = rng.uniform(size=(50, d_in))
-            inside = kan.BatchEvaluator(net, lo + t * (hi - lo)).hidden_sums(net.inner_coeffs)
-            npt.assert_allclose(inside, z[0] + t @ (z[2 ** np.arange(d_in)] - z[0]),
-                                rtol=0, atol=1e-12 * span)
-            assert net.hidden_lo == pytest.approx(z.min() - 0.1 * span, abs=1e-12 * span)
-            assert net.hidden_hi == pytest.approx(z.max() + 0.1 * span, abs=1e-12 * span)
+        check_hidden_range_is_padded_corner_span(d_in, degree, intervals)
+
+    # all 2^d_in corners: a sample of them, or of the box, misses the extremes
+    @pytest.mark.parametrize("d_in", [12, 14])
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    def test_hidden_range_is_exact_for_many_inputs(self, d_in, degree):
+        check_hidden_range_is_padded_corner_span(d_in, degree, intervals=4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -257,7 +257,7 @@ class TestTrain:
         npt.assert_array_equal(rep.loss_trace, trace)
         npt.assert_array_equal(kan.get_params(net), params)
 
-    @pytest.mark.parametrize("lr", [0.05, 3.0])
+    @pytest.mark.parametrize("lr", [0.05, 10.0])
     def test_report_uses_outputs_of_returned_network(self, lr):
         traj = linear_trajectory(0.02)
         sysd = systems.linear_system()
